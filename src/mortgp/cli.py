@@ -74,12 +74,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_probes(text: str) -> np.ndarray:
-    pairs = []
-    for part in text.split(","):
-        age_s, year_s = part.strip().split(":")
-        pairs.append((int(age_s), int(year_s)))
-    return np.asarray(pairs, dtype=float)
+def _parse_probes(text: str) -> tuple[tuple[int, int], ...]:
+    try:
+        return tuple((int(age), int(year)) for age, year in (part.split(":") for part in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected AGE:YEAR[,AGE:YEAR...], got {text!r}") from None
 
 
 def _load_training_table(args) -> MortalityTable:
@@ -244,7 +243,7 @@ def cmd_update(args) -> int:
     gp = load_model(args.model)
     new_cells = load_table(args.new_data)
     updated = upd_mod.update(gp, new_cells)
-    probes = _parse_probes(args.probes) if args.probes else new_cells.inputs()
+    probes = np.asarray(args.probes, dtype=float) if args.probes else new_cells.inputs()
     report = upd_mod.update_report(gp, updated, probes)
     save_model(updated, out / "model_updated.json")
     rows = []
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("update", help="fold new cells into a fitted model (fixed hyperparameters)")
     add_common(p, model=True)
     p.add_argument("--new-data", required=True, help="CSV of new cells")
-    p.add_argument("--probes", default=None, help="AGE:YEAR[,AGE:YEAR...] probe points (default: the new cells)")
+    p.add_argument("--probes", type=_parse_probes, default=None, help="AGE:YEAR[,AGE:YEAR...] probe points (default: the new cells)")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("glm", help="Poisson GLM baseline with exposure offset")

@@ -212,18 +212,23 @@ class Standardizer:
         return z * [self.sd_ag, self.sd_yr] + [self.mean_ag, self.mean_yr]
 
 
+def _center_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample (ddof 1) standard deviations of (N, 2) inputs.
+
+    A constant column, or a single row, gets scale 1 and passes through unscaled.
+    """
+    center = x.mean(axis=0)
+    scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
+    return center, np.where(scale > 0, scale, 1.0)
+
+
 def make_standardizer(table: MortalityTable) -> Standardizer:
-    """Means and sample (n-1) standard deviations of the age and year columns."""
-    ages = np.array([c.age for c in table], dtype=float)
-    years = np.array([c.year for c in table], dtype=float)
-    if np.unique(ages).size < 2 or np.unique(years).size < 2:
+    """Means and sample (n-1) standard deviations of the trainable cells' ages and years."""
+    x = table.inputs()
+    if np.unique(x[:, 0]).size < 2 or np.unique(x[:, 1]).size < 2:
         raise ValueError("standardization needs at least 2 distinct ages and 2 distinct years")
-    return Standardizer(
-        mean_ag=float(ages.mean()),
-        sd_ag=float(ages.std(ddof=1)),
-        mean_yr=float(years.mean()),
-        sd_yr=float(years.std(ddof=1)),
-    )
+    (mean_ag, mean_yr), (sd_ag, sd_yr) = _center_scale(x)
+    return Standardizer(mean_ag=float(mean_ag), sd_ag=float(sd_ag), mean_yr=float(mean_yr), sd_yr=float(sd_yr))
 
 
 def _open_for(target, mode: str):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means
-from .data import MortalityTable
+from .data import MortalityTable, _center_scale
 from .means import MeanBasis
 
 
@@ -46,9 +46,7 @@ def fit_poisson_glm(table: MortalityTable, basis: MeanBasis, max_iter: int = 100
     offset = np.log(np.array([c.exposure for c in cells], dtype=float))
 
     p = means.basis_dim(basis)
-    center = x.mean(axis=0)
-    scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
-    scale = np.where(scale > 0, scale, 1.0)
+    center, scale = _center_scale(x)
     h = means.basis_matrix(basis, (x - center) / scale)
     if x.shape[0] < p:
         raise ValueError(f"need at least {p} cells to fit a {p}-parameter GLM")

@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import kernels, means
-from .data import MortalityTable
+from .data import MortalityTable, _center_scale
 from .kernels import ConstantNoise, KernelFamily, KernelHyperparams, NoiseModel
 from .means import MeanBasis
 
@@ -54,7 +54,7 @@ def _clamp_variance(var: np.ndarray, tol: float = VARIANCE_TOL) -> np.ndarray:
 def _quantile_z(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError(f"credible level must be in (0, 1), got {level}")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return float(ndtri(0.5 + level / 2.0))
 
 
 @dataclass
@@ -137,21 +137,36 @@ class FittedGP:
         return means.basis_matrix(self.basis, z)
 
 
-def _basis_scaler(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center = x.mean(axis=0)
-    scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
-    scale = np.where(scale > 0, scale, 1.0)  # constant column: leave unscaled
-    return center, scale
+def _design(basis: Optional[MeanBasis], z: np.ndarray) -> np.ndarray:
+    """Design matrix over (scaled) inputs, checked for full column rank."""
+    h = means.basis_matrix(basis, z)
+    if h.shape[1] and np.linalg.matrix_rank(h) < h.shape[1]:
+        raise ValueError("mean basis design matrix is rank deficient on these inputs")
+    return h
 
 
-def _cholesky_or_raise(a: np.ndarray) -> np.ndarray:
-    try:
-        return cholesky(a, lower=True)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(a).min())
-        raise FactorizationError(
-            f"covariance-plus-noise matrix is not positive definite (smallest pivot {smallest:.6e})"
-        ) from None
+def _profiled_gls(a: np.ndarray, y: np.ndarray, h: np.ndarray):
+    """Factorize, whiten, solve the GLS and evaluate the profiled log-likelihood.
+
+    ``a`` is the kernel-plus-noise matrix and ``h`` the (scaled) design matrix.
+    Returns ``(chol, h_white, g_cho, beta_scaled, log_lik)``.  Raises
+    ``np.linalg.LinAlgError`` when ``a`` is not positive definite and
+    ``ValueError`` when the GLS normal equations are singular.
+    """
+    chol = cholesky(a, lower=True)
+    y_white = solve_triangular(chol, y, lower=True)
+    if h.shape[1]:
+        h_white = solve_triangular(chol, h, lower=True)
+        try:
+            g_cho = cho_factor(h_white.T @ h_white, lower=True)
+        except np.linalg.LinAlgError:
+            raise ValueError("GLS normal equations are singular; basis columns are collinear") from None
+        beta_scaled = cho_solve(g_cho, h_white.T @ y_white)
+        resid_white = y_white - h_white @ beta_scaled
+    else:
+        h_white, g_cho, beta_scaled, resid_white = h, None, np.empty(0), y_white
+    log_lik = float(-0.5 * resid_white @ resid_white - np.log(np.diag(chol)).sum() - 0.5 * y.size * LOG_2PI)
+    return chol, h_white, g_cho, beta_scaled, log_lik
 
 
 def fit_gls_xy(
@@ -189,37 +204,16 @@ def fit_gls_xy(
 
     a = kernels.cov_matrix(family, hp, x)
     jitter = JITTER_SCALE * hp.eta_sq if noise_diag.min() <= 0.0 else 0.0
-    idx = np.diag_indices(n)
-    a[idx] += noise_diag + jitter
-    chol = _cholesky_or_raise(a)
-
-    center, scale = _basis_scaler(x)
-    h_scaled = means.basis_matrix(basis, (x - center) / scale)
-    y_white = solve_triangular(chol, y, lower=True)
-
-    if p > 0:
-        if np.linalg.matrix_rank(h_scaled) < p:
-            raise ValueError("mean basis design matrix is rank deficient on these inputs")
-        h_white = solve_triangular(chol, h_scaled, lower=True)
-        gram = h_white.T @ h_white
-        try:
-            g_cho = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError:
-            raise ValueError("GLS normal equations are singular; basis columns are collinear") from None
-        beta_scaled = cho_solve(g_cho, h_white.T @ y_white)
-        resid = y - h_scaled @ beta_scaled
-        m = means.basis_change_matrix(basis, center, scale)
-        beta = m.T @ beta_scaled
-    else:
-        h_white = np.empty((n, 0))
-        g_cho = None
-        beta_scaled = np.empty(0)
-        beta = np.empty(0)
-        resid = y
-
-    alpha = cho_solve((chol, True), resid)
-    resid_white = y_white - h_white @ beta_scaled
-    log_lik = float(-0.5 * resid_white @ resid_white - np.log(np.diag(chol)).sum() - 0.5 * n * LOG_2PI)
+    a[np.diag_indices(n)] += noise_diag + jitter
+    center, scale = _center_scale(x)
+    h_scaled = _design(basis, (x - center) / scale)
+    try:
+        chol, h_white, g_cho, beta_scaled, log_lik = _profiled_gls(a, y, h_scaled)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(a).min())
+        raise FactorizationError(
+            f"covariance-plus-noise matrix is not positive definite (smallest pivot {smallest:.6e})"
+        ) from None
 
     return FittedGP(
         x=x,
@@ -229,10 +223,10 @@ def fit_gls_xy(
         noise=noise,
         noise_diag=noise_diag,
         basis=basis,
-        beta=beta,
+        beta=means.basis_change_matrix(basis, center, scale).T @ beta_scaled,
         jitter=jitter,
         chol=chol,
-        alpha=alpha,
+        alpha=cho_solve((chol, True), y - h_scaled @ beta_scaled),
         beta_scaled=beta_scaled,
         H_white=h_white,
         G_cho=g_cho,
@@ -331,7 +325,7 @@ def residuals(gp: FittedGP) -> ResidualDiagnostics:
     res = gp.y - post.mean
     n = res.size
     empirical = np.sort(res)
-    theoretical = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)
     return ResidualDiagnostics(residuals=res, qq_theoretical=theoretical, qq_empirical=empirical)
 
 
@@ -342,12 +336,8 @@ def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:
     (including the trend contribution), and the variance carries the same
     trend-uncertainty correction as the surface posterior.
     """
-    if gp.family is not KernelFamily.SQUARED_EXPONENTIAL:
-        raise NotImplementedError(
-            f"{gp.family.value} kernel does not support year-derivative operations"
-        )
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
-    d = kernels.dcross_cov_dyr(gp.hp, gp.x, xs)
+    d = kernels.dcross_cov_dyr(gp.hp, gp.x, xs, gp.family)
     vd = solve_triangular(gp.chol, d, lower=True)
 
     mean = d.T @ gp.alpha

@@ -1,7 +1,8 @@
 """Maximum-likelihood estimation of kernel hyperparameters.
 
 The profiled log marginal likelihood (trend coefficients solved by GLS at
-every evaluation) is maximized over log-transformed hyperparameters with
+every evaluation) of the chosen kernel family, squared-exponential or
+Matern-5/2, is maximized over log-transformed hyperparameters with
 multi-start Nelder-Mead.  Inputs are standardized internally so the optimizer
 sees O(1) lengthscales; estimates are mapped back to raw age/year units.
 
@@ -19,13 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from . import gp as gp_mod
-from . import means
+from . import kernels, means
 from .data import MortalityTable, make_standardizer
-from .gp import LOG_2PI, FittedGP
+from .gp import FittedGP
 from .kernels import ConstantNoise, DeltaMethodNoise, KernelFamily, KernelHyperparams, noise_diagonal
 from .means import MeanBasis
 
@@ -70,8 +70,8 @@ class FitResult:
     beta: np.ndarray
     log_likelihood: float
     restart_trace: list[RestartRecord]
-    converged: bool
-    bound_hit: bool
+    converged: bool  # the optimizer reported success for the best restart
+    bound_hit: bool  # the best estimate lies on a bound of the search box
     family: KernelFamily
     basis: Optional[MeanBasis]
     noise: Union[ConstantNoise, DeltaMethodNoise]
@@ -79,48 +79,30 @@ class FitResult:
 
 
 class _ProfiledLikelihood:
-    """Profiled log marginal likelihood over standardized inputs.
+    """Profiled log marginal likelihood of either kernel family over standardized inputs.
 
-    Pairwise squared distances and the design matrix are precomputed once;
-    each call costs one kernel evaluation plus one Cholesky factorization.
+    The coordinate separations and the design matrix are computed once; each
+    call costs one kernel evaluation plus the factorization core shared with
+    ``gp.fit_gls_xy``.
     """
 
-    def __init__(self, x_std, y, basis, fixed_noise_diag):
-        self.d2_ag = (x_std[:, 0:1] - x_std[None, :, 0]) ** 2
-        self.d2_yr = (x_std[:, 1:2] - x_std[None, :, 1]) ** 2
+    def __init__(self, family, x_std, y, basis, fixed_noise_diag):
+        self.family = family
+        self.separations = kernels._separations(family, x_std, x_std)
         self.y = y
-        self.n = y.size
-        self.h = means.basis_matrix(basis, x_std)
-        self.p = self.h.shape[1]
-        if self.p and np.linalg.matrix_rank(self.h) < self.p:
-            raise ValueError("mean basis design matrix is rank deficient on these inputs")
+        self.h = gp_mod._design(basis, x_std)
         self.fixed_noise_diag = fixed_noise_diag  # None => constant noise, last parameter
         self.estimate_sigma = fixed_noise_diag is None
-        self.diag_idx = np.diag_indices(self.n)
+        self.diag_idx = np.diag_indices(y.size)
 
     def loglik(self, params: np.ndarray) -> float:
         theta_ag, theta_yr, eta_sq = np.exp(params[:3])
-        a = eta_sq * np.exp(-self.d2_ag / (2.0 * theta_ag**2) - self.d2_yr / (2.0 * theta_yr**2))
-        if self.estimate_sigma:
-            a[self.diag_idx] += math.exp(params[3])
-        else:
-            a[self.diag_idx] += self.fixed_noise_diag
+        a = kernels._cov_from_separations(self.family, KernelHyperparams(theta_ag, theta_yr, eta_sq), *self.separations)
+        a[self.diag_idx] += math.exp(params[3]) if self.estimate_sigma else self.fixed_noise_diag
         try:
-            chol = cholesky(a, lower=True)
-        except np.linalg.LinAlgError:
+            return gp_mod._profiled_gls(a, self.y, self.h)[-1]
+        except (np.linalg.LinAlgError, ValueError):
             return float("-inf")
-        y_white = solve_triangular(chol, self.y, lower=True)
-        if self.p:
-            h_white = solve_triangular(chol, self.h, lower=True)
-            try:
-                g_cho = cho_factor(h_white.T @ h_white, lower=True)
-            except np.linalg.LinAlgError:
-                return float("-inf")
-            beta = cho_solve(g_cho, h_white.T @ y_white)
-            resid = y_white - h_white @ beta
-        else:
-            resid = y_white
-        return float(-0.5 * resid @ resid - np.log(np.diag(chol)).sum() - 0.5 * self.n * LOG_2PI)
 
     def __call__(self, params: np.ndarray) -> float:
         value = self.loglik(params)
@@ -172,7 +154,7 @@ def fit_mle(
     else:
         raise TypeError(f"noise must be 'constant' or DeltaMethodNoise, got {type(noise).__name__}")
 
-    obj = _ProfiledLikelihood(x_std, y, basis, fixed_diag)
+    obj = _ProfiledLikelihood(family, x_std, y, basis, fixed_diag)
     estimate_sigma = obj.estimate_sigma
 
     # bounds in log space; theta bounds are per-coordinate images of the raw box
@@ -243,7 +225,7 @@ def fit_mle(
         beta=model.beta,
         log_likelihood=model.log_likelihood,
         restart_trace=trace,
-        converged=bool(best.success) or bound_hit,
+        converged=bool(best.success),
         bound_hit=bound_hit,
         family=family,
         basis=basis,

@@ -44,7 +44,8 @@ class KernelHyperparams:
 
     def __post_init__(self) -> None:
         for name in ("theta_ag", "theta_yr", "eta_sq", "sigma_sq"):
-            v = getattr(self, name)
+            v = float(getattr(self, name))  # repr() of a NumPy scalar is not a parseable number
+            object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.theta_ag <= 0 or self.theta_yr <= 0 or self.eta_sq <= 0:
@@ -53,13 +54,22 @@ class KernelHyperparams:
             raise ValueError("sigma_sq must be non-negative")
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    return x[..., 0], x[..., 1]
+def _separations(family: KernelFamily, X, Xstar) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) per-coordinate separations in the form ``_cov_from_separations`` takes.
 
-
-def _sqexp(hp: KernelHyperparams, d2_ag: np.ndarray, d2_yr: np.ndarray) -> np.ndarray:
-    return hp.eta_sq * np.exp(-d2_ag / (2.0 * hp.theta_ag**2) - d2_yr / (2.0 * hp.theta_yr**2))
+    Squared differences for the squared-exponential, absolute differences for
+    the Matern.  The MLE computes these once per fit and reuses them at every
+    likelihood evaluation.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 2)
+    Xstar = np.asarray(Xstar, dtype=float).reshape(-1, 2)
+    d_ag = X[:, 0:1] - Xstar[None, :, 0]
+    d_yr = X[:, 1:2] - Xstar[None, :, 1]
+    if family is KernelFamily.SQUARED_EXPONENTIAL:
+        return d_ag**2, d_yr**2
+    if family is KernelFamily.MATERN52:
+        return np.abs(d_ag), np.abs(d_yr)
+    raise ValueError(f"unknown kernel family {family!r}")
 
 
 def _matern52_1d(r: np.ndarray) -> np.ndarray:
@@ -67,21 +77,18 @@ def _matern52_1d(r: np.ndarray) -> np.ndarray:
     return (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * np.exp(-SQRT5 * r)
 
 
-def _matern52(hp: KernelHyperparams, d_ag: np.ndarray, d_yr: np.ndarray) -> np.ndarray:
-    r_ag = np.abs(d_ag) / hp.theta_ag
-    r_yr = np.abs(d_yr) / hp.theta_yr
-    return hp.eta_sq * _matern52_1d(r_ag) * _matern52_1d(r_yr)
+def _cov_from_separations(family: KernelFamily, hp: KernelHyperparams, s_ag: np.ndarray, s_yr: np.ndarray) -> np.ndarray:
+    """Covariance from the separations ``_separations`` returns for the same family."""
+    if family is KernelFamily.SQUARED_EXPONENTIAL:
+        return hp.eta_sq * np.exp(-s_ag / (2.0 * hp.theta_ag**2) - s_yr / (2.0 * hp.theta_yr**2))
+    if family is KernelFamily.MATERN52:
+        return hp.eta_sq * _matern52_1d(s_ag / hp.theta_ag) * _matern52_1d(s_yr / hp.theta_yr)
+    raise ValueError(f"unknown kernel family {family!r}")
 
 
 def cov(family: KernelFamily, hp: KernelHyperparams, x, xp) -> float:
     """Covariance between two (age, year) inputs."""
-    ag, yr = _split(np.asarray(x, dtype=float))
-    agp, yrp = _split(np.asarray(xp, dtype=float))
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return float(_sqexp(hp, (ag - agp) ** 2, (yr - yrp) ** 2))
-    if family is KernelFamily.MATERN52:
-        return float(_matern52(hp, ag - agp, yr - yrp))
-    raise ValueError(f"unknown kernel family {family!r}")
+    return float(cross_cov(family, hp, x, xp)[0, 0])
 
 
 def cov_matrix(family: KernelFamily, hp: KernelHyperparams, X) -> np.ndarray:
@@ -94,15 +101,7 @@ def cov_matrix(family: KernelFamily, hp: KernelHyperparams, X) -> np.ndarray:
 
 def cross_cov(family: KernelFamily, hp: KernelHyperparams, X, Xstar) -> np.ndarray:
     """(N, M) covariance between training inputs X and prediction inputs Xstar."""
-    X = np.asarray(X, dtype=float).reshape(-1, 2)
-    Xstar = np.asarray(Xstar, dtype=float).reshape(-1, 2)
-    d_ag = X[:, 0:1] - Xstar[None, :, 0]
-    d_yr = X[:, 1:2] - Xstar[None, :, 1]
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return _sqexp(hp, d_ag**2, d_yr**2)
-    if family is KernelFamily.MATERN52:
-        return _matern52(hp, d_ag, d_yr)
-    raise ValueError(f"unknown kernel family {family!r}")
+    return _cov_from_separations(family, hp, *_separations(family, X, Xstar))
 
 
 def _require_differentiable(family: KernelFamily) -> None:
@@ -120,10 +119,7 @@ def dcov_dyr(hp: KernelHyperparams, x, xp, family: KernelFamily = KernelFamily.S
     ``C(x, x') * (x_yr - x'_yr) / theta_yr^2``; the sign convention is pinned
     by the finite-difference identity d/dh cov(x, x' + h e_yr) at h = 0.
     """
-    _require_differentiable(family)
-    c = cov(KernelFamily.SQUARED_EXPONENTIAL, hp, x, xp)
-    d_yr = float(np.asarray(x, dtype=float)[..., 1] - np.asarray(xp, dtype=float)[..., 1])
-    return c * d_yr / hp.theta_yr**2
+    return float(dcross_cov_dyr(hp, x, xp, family)[0, 0])
 
 
 def d2cov_dyr2(hp: KernelHyperparams, x, xp, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> float:

@@ -28,14 +28,7 @@ def basis_dim(basis: MeanBasis | None) -> int:
 
 def eval_basis(basis: MeanBasis, x) -> np.ndarray:
     """Row vector h(x) for a single (age, year) input."""
-    ag, yr = (float(v) for v in np.asarray(x, dtype=float).reshape(2))
-    if basis is MeanBasis.INTERCEPT:
-        return np.array([1.0])
-    if basis is MeanBasis.LINEAR:
-        return np.array([1.0, ag, yr])
-    if basis is MeanBasis.QUADRATIC_AGE:
-        return np.array([1.0, ag, yr, ag * ag])
-    raise ValueError(f"unknown mean basis {basis!r}")
+    return basis_matrix(basis, np.asarray(x, dtype=float).reshape(1, 2))[0]
 
 
 def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:

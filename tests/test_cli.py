@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mortgp
 from mortgp import load_table
 from mortgp.cli import main
 
@@ -56,6 +61,16 @@ class TestFit:
         names = [r["parameter"] for r in rows]
         for expected in ("theta_ag", "theta_yr", "eta_sq", "sigma_sq", "beta_0", "beta_age", "beta_year", "log_likelihood"):
             assert expected in names
+
+    def test_fit_table_estimates_parse_as_floats(self, model_dir):
+        rows = read_csv(model_dir / "fit.csv")
+        flags = {"converged", "bound_hit"}
+        for row in rows:
+            if row["parameter"] in flags:
+                assert row["estimate"] in ("true", "false")
+            else:
+                float(row["estimate"])
+        assert flags < {row["parameter"] for row in rows}
 
     def test_manifest_records_options_and_version(self, model_dir):
         manifest = json.loads((model_dir / "manifest.json").read_text())
@@ -212,6 +227,24 @@ class TestErrors:
         assert rc == 1
         assert "requires --data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probes", ["60", "a:b"])
+    def test_malformed_probes_name_flag_and_form(self, model_dir, data_csv, tmp_path, capsys, probes):
+        args = ["update", "--model", str(model_dir / "model.json"), "--new-data", str(data_csv), "--probes", probes]
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--probes" in message
+        assert "AGE:YEAR[,AGE:YEAR...]" in message
+        assert "unpack" not in message
+
     def test_emitted_table_csv_reingestable(self, data_csv):
         table = load_table(data_csv)
         assert len(table) == 35 * 16
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, mortgp.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(mortgp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

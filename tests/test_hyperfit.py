@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import mortgp.hyperfit as hyperfit
 from mortgp import (
+    ConstantNoise,
     DeltaMethodNoise,
     FitConfig,
     KernelFamily,
@@ -15,6 +17,8 @@ from mortgp import (
     evaluate_grid,
     fit_mle,
     log_marginal_likelihood,
+    make_standardizer,
+    noise_diagonal,
 )
 
 from conftest import simulate_gp_table, table_from_surface
@@ -62,16 +66,17 @@ class TestFitMle:
         assert result.hp.theta_yr == pytest.approx(TRUE_HP.theta_yr, rel=0.5)
         assert result.hp.sigma_sq == pytest.approx(TRUE_HP.sigma_sq, rel=0.5)
 
-    def test_profiling_consistency_at_optimum(self, sim_table):
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_profiling_consistency_at_optimum(self, sim_table, family):
         config = quick_config(tol=1e-9, xatol=1e-6)
-        result = fit_mle(sim_table, config=config)
+        result = fit_mle(sim_table, family=family, config=config)
         base = result.log_likelihood
         fields = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
         for name in fields:
             for bump in (1.01, 0.99):
                 kwargs = {f: getattr(result.hp, f) for f in fields}
                 kwargs[name] = kwargs[name] * bump
-                perturbed = log_marginal_likelihood(sim_table, SQEXP, KernelHyperparams(**kwargs))
+                perturbed = log_marginal_likelihood(sim_table, family, KernelHyperparams(**kwargs))
                 assert perturbed <= base + config.tol
 
     def test_response_shift_moves_only_intercept(self, sim_table):
@@ -96,6 +101,17 @@ class TestFitMle:
             result = fit_mle(table, config=quick_config())
         assert result.bound_hit
         assert result.converged
+
+    def test_bound_stop_without_success_is_not_converged(self):
+        rng = np.random.default_rng(55)
+        table = table_from_surface(range(60, 70), range(2000, 2010), lambda a, y: -4.0 + 0.05 * rng.standard_normal())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit_mle(table, config=quick_config(max_iter=120))
+        best = max(result.restart_trace, key=lambda rec: rec.log_likelihood)
+        assert result.bound_hit
+        assert not best.success
+        assert not result.converged
 
     def test_delta_noise_mode_fixes_sigma(self, sim_table):
         result = fit_mle(sim_table, noise=DeltaMethodNoise(2.0), config=quick_config())
@@ -153,3 +169,48 @@ class TestEvaluateGrid:
     def test_empty_grid_rejected(self, sim_table):
         with pytest.raises(ValueError, match="non-empty"):
             evaluate_grid(sim_table, SQEXP, MeanBasis.INTERCEPT, [])
+
+
+class _Captured(Exception):
+    pass
+
+
+def capture_objective(monkeypatch, table, family, basis, noise):
+    """The objective, start and log-space bounds fit_mle hands to the optimizer."""
+    seen = {}
+
+    def fake_minimize(fun, x0, method, bounds, options):
+        seen.update(fun=fun, x0=np.asarray(x0), bounds=np.asarray(bounds))
+        raise _Captured
+
+    monkeypatch.setattr(hyperfit, "minimize", fake_minimize)
+    with pytest.raises(_Captured):
+        fit_mle(table, family=family, basis=basis, noise=noise, config=quick_config(n_restarts=1))
+    return seen["fun"], seen["x0"], seen["bounds"]
+
+
+class TestObjective:
+    """The optimizer's objective is the profiled likelihood of gp, for every family."""
+
+    @pytest.mark.parametrize("noise", ["constant", DeltaMethodNoise(1.5)], ids=["constant", "delta"])
+    @pytest.mark.parametrize("basis", [None, *MeanBasis], ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_matches_log_marginal_likelihood(self, monkeypatch, sim_table, family, basis, noise):
+        fun, x0, bounds = capture_objective(monkeypatch, sim_table, family, basis, noise)
+        std = make_standardizer(sim_table)
+        delta_diag = None if noise == "constant" else noise_diagonal(noise, sim_table)
+        def noise_ratio(v):
+            smallest_noise = math.exp(v[3]) if delta_diag is None else float(delta_diag.min())
+            return smallest_noise / math.exp(v[2])
+
+        rng = np.random.default_rng(8)
+        draws = (rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(200))
+        # below this noise-to-signal ratio conditioning alone moves the likelihood past the tolerance
+        points = [x0] + [v for v in draws if noise_ratio(v) >= 1e-6]
+        assert len(points) > 20
+        for v in points:
+            sigma_sq = math.exp(v[3]) if delta_diag is None else 0.0
+            hp = KernelHyperparams(math.exp(v[0]) * std.sd_ag, math.exp(v[1]) * std.sd_yr, math.exp(v[2]), sigma_sq)
+            model_noise = ConstantNoise(sigma_sq) if delta_diag is None else noise
+            expected = log_marginal_likelihood(sim_table, family, hp, noise=model_noise, basis=basis)
+            assert -fun(v) == pytest.approx(expected, rel=1e-8)

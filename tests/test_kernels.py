@@ -46,6 +46,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             KernelHyperparams(**kwargs)
 
+    def test_numpy_scalars_stored_as_floats(self):
+        hp = KernelHyperparams(np.float64(2.0), np.float64(3.0), np.float64(0.5), np.float64(1e-4))
+        assert all(type(getattr(hp, f)) is float for f in ("theta_ag", "theta_yr", "eta_sq", "sigma_sq"))
+        assert repr(hp.theta_ag) == "2.0"
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             KernelHyperparams(theta_ag=math.nan, theta_yr=1.0, eta_sq=1.0)
