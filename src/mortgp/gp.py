@@ -145,18 +145,25 @@ def _design(basis: Optional[MeanBasis], z: np.ndarray) -> np.ndarray:
     return h
 
 
-def _profiled_gls(a: np.ndarray, y: np.ndarray, h: np.ndarray):
-    """Factorize, whiten, solve the GLS and evaluate the profiled log-likelihood.
+def _whiten(chol: np.ndarray, y: np.ndarray, h: np.ndarray):
+    """Whiten y and the design by the lower Cholesky factor of the kernel-plus-noise matrix.
 
-    ``a`` is the kernel-plus-noise matrix and ``h`` the (scaled) design matrix.
-    Returns ``(chol, h_white, g_cho, beta_scaled, log_lik)``.  Raises
-    ``np.linalg.LinAlgError`` when ``a`` is not positive definite and
-    ``ValueError`` when the GLS normal equations are singular.
+    Returns ``(y_white, h_white, half_logdet)`` for ``_profiled_gls``.
     """
-    chol = cholesky(a, lower=True)
     y_white = solve_triangular(chol, y, lower=True)
-    if h.shape[1]:
-        h_white = solve_triangular(chol, h, lower=True)
+    h_white = solve_triangular(chol, h, lower=True) if h.shape[1] else h
+    return y_white, h_white, np.log(np.diag(chol)).sum()
+
+
+def _profiled_gls(y_white: np.ndarray, h_white: np.ndarray, half_logdet: float):
+    """Solve the GLS and evaluate the profiled log-likelihood from whitened data.
+
+    ``y_white`` and ``h_white`` are the responses and the (scaled) design
+    matrix whitened by any square root of the kernel-plus-noise matrix A, and
+    ``half_logdet`` is ½ log|A|.  Returns ``(g_cho, beta_scaled, log_lik)``.
+    Raises ``ValueError`` when the GLS normal equations are singular.
+    """
+    if h_white.shape[1]:
         try:
             g_cho = cho_factor(h_white.T @ h_white, lower=True)
         except np.linalg.LinAlgError:
@@ -164,9 +171,9 @@ def _profiled_gls(a: np.ndarray, y: np.ndarray, h: np.ndarray):
         beta_scaled = cho_solve(g_cho, h_white.T @ y_white)
         resid_white = y_white - h_white @ beta_scaled
     else:
-        h_white, g_cho, beta_scaled, resid_white = h, None, np.empty(0), y_white
-    log_lik = float(-0.5 * resid_white @ resid_white - np.log(np.diag(chol)).sum() - 0.5 * y.size * LOG_2PI)
-    return chol, h_white, g_cho, beta_scaled, log_lik
+        g_cho, beta_scaled, resid_white = None, np.empty(0), y_white
+    log_lik = float(-0.5 * resid_white @ resid_white - half_logdet - 0.5 * y_white.size * LOG_2PI)
+    return g_cho, beta_scaled, log_lik
 
 
 def fit_gls_xy(
@@ -208,12 +215,14 @@ def fit_gls_xy(
     center, scale = _center_scale(x)
     h_scaled = _design(basis, (x - center) / scale)
     try:
-        chol, h_white, g_cho, beta_scaled, log_lik = _profiled_gls(a, y, h_scaled)
+        chol = cholesky(a, lower=True)
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(a).min())
         raise FactorizationError(
             f"covariance-plus-noise matrix is not positive definite (smallest pivot {smallest:.6e})"
         ) from None
+    y_white, h_white, half_logdet = _whiten(chol, y, h_scaled)
+    g_cho, beta_scaled, log_lik = _profiled_gls(y_white, h_white, half_logdet)
 
     return FittedGP(
         x=x,

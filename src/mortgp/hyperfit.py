@@ -6,20 +6,29 @@ Matern-5/2, is maximized over log-transformed hyperparameters with
 multi-start Nelder-Mead.  Inputs are standardized internally so the optimizer
 sees O(1) lengthscales; estimates are mapped back to raw age/year units.
 
-Restarts are independent and may run in threads; set MORTGP_THREADS to cap
-the pool.  Results are deterministic for a given config and seed either way.
+When the trainable cells fill an age x year grid and the noise variance is
+estimated, the objective uses the Kronecker structure of the kernel and never
+builds an n x n matrix; otherwise it factorizes the dense kernel.  The two
+agree within 1e-8 relative wherever the noise is at least 1e-6 of eta^2.
+The reported log-likelihood always comes from a dense refit at the best point.
+
+Restarts are independent and may run in threads; set MORTGP_THREADS (a
+positive integer) to cap the pool.  Results are deterministic for a given
+config and seed either way.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import cholesky
 from scipy.optimize import minimize
 
 from . import gp as gp_mod
@@ -62,6 +71,8 @@ class RestartRecord:
     end: dict
     log_likelihood: float
     success: bool
+    evaluations: int  # objective evaluations the optimizer made
+    iterations: int  # optimizer iterations
 
 
 @dataclass
@@ -78,29 +89,90 @@ class FitResult:
     model: FittedGP = field(repr=False, default=None)
 
 
+def _grid_ages(x: np.ndarray) -> Optional[int]:
+    """Number of distinct ages when the rows of x are every (age, year) pair
+    of their distinct ages and years in (year, age) order, else None."""
+    ages, years = np.unique(x[:, 0]), np.unique(x[:, 1])
+    full = (
+        x.shape[0] == ages.size * years.size
+        and np.array_equal(x[:, 0], np.tile(ages, years.size))
+        and np.array_equal(x[:, 1], np.repeat(years, ages.size))
+    )
+    return ages.size if full else None
+
+
 class _ProfiledLikelihood:
     """Profiled log marginal likelihood of either kernel family over standardized inputs.
 
-    The coordinate separations and the design matrix are computed once; each
-    call costs one kernel evaluation plus the factorization core shared with
-    ``gp.fit_gls_xy``.
+    Two routes whiten the data; both feed the GLS and likelihood tail
+    ``gp._profiled_gls`` shared with ``gp.fit_gls_xy``.
+
+    * Full grid with constant noise (the inputs are every pair of their
+      distinct ages and years, in ``MortalityTable``'s (year, age) order, and
+      sigma^2 is estimated): both families are products of 1-D kernels, so
+      K = eta^2 K_yr (x) K_ag and the eigendecompositions of one A x A and one
+      Y x Y matrix give the whitened data and the log-determinant
+      (Saatci 2011; Wilson et al. 2014).  No n x n array is built.  The
+      value agrees with the dense route within 1e-8 relative wherever the
+      noise is at least 1e-6 of eta^2; a non-positive eigenvalue of the
+      covariance gives -inf, as a failed Cholesky does.
+    * Anything else (a notched subset, zero-death holes, delta-method noise):
+      the dense kernel, computed into an n x n workspace kept per thread
+      between calls, and its Cholesky factor.
     """
 
     def __init__(self, family, x_std, y, basis, fixed_noise_diag):
         self.family = family
-        self.separations = kernels._separations(family, x_std, x_std)
         self.y = y
         self.h = gp_mod._design(basis, x_std)
         self.fixed_noise_diag = fixed_noise_diag  # None => constant noise, last parameter
         self.estimate_sigma = fixed_noise_diag is None
-        self.diag_idx = np.diag_indices(y.size)
+        n_ag = _grid_ages(x_std) if self.estimate_sigma else None
+        if n_ag is not None:
+            # separations over the ages of the first year and the years of the
+            # first age; the other coordinate's separations are zero there
+            self.grid = (
+                kernels._separations(family, x_std[:n_ag], x_std[:n_ag]),
+                kernels._separations(family, x_std[::n_ag], x_std[::n_ag]),
+            )
+            self.yh = np.column_stack([y, self.h])
+        else:
+            self.grid = None
+            self.separations = kernels._separations(family, x_std, x_std)
+            self.diag_idx = np.diag_indices(y.size)
+            self._local = threading.local()
+
+    def _whiten_grid(self, hp: KernelHyperparams, sigma_sq: float):
+        unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
+        sep_ag, sep_yr = self.grid
+        lam_ag, q_ag = np.linalg.eigh(kernels._cov_from_separations(self.family, unit, *sep_ag))
+        lam_yr, q_yr = np.linalg.eigh(kernels._cov_from_separations(self.family, unit, *sep_yr))
+        d = (hp.eta_sq * np.outer(lam_yr, lam_ag) + sigma_sq).ravel()
+        if not d.min() > 0.0:
+            raise np.linalg.LinAlgError("covariance has a non-positive eigenvalue")
+        # (Q_yr (x) Q_ag)^T [y, H]: rotate the year axis, then the age axis
+        rotated = (q_yr.T @ self.yh.reshape(lam_yr.size, -1)).reshape(lam_yr.size, lam_ag.size, -1)
+        white = (q_ag.T @ rotated).reshape(self.y.size, -1) / np.sqrt(d)[:, None]
+        return white[:, 0], white[:, 1:], 0.5 * np.log(d).sum()
+
+    def _whiten_dense(self, hp: KernelHyperparams, noise):
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = np.empty((4, self.y.size, self.y.size))
+        a = kernels._cov_from_separations(self.family, hp, *self.separations, work=work)
+        a[self.diag_idx] += noise
+        # a is exactly symmetric, so its transpose is the same matrix in
+        # Fortran order, which LAPACK factorizes in place
+        chol = cholesky(a.T, lower=True, overwrite_a=True)
+        return gp_mod._whiten(chol, self.y, self.h)
 
     def loglik(self, params: np.ndarray) -> float:
         theta_ag, theta_yr, eta_sq = np.exp(params[:3])
-        a = kernels._cov_from_separations(self.family, KernelHyperparams(theta_ag, theta_yr, eta_sq), *self.separations)
-        a[self.diag_idx] += math.exp(params[3]) if self.estimate_sigma else self.fixed_noise_diag
+        hp = KernelHyperparams(theta_ag, theta_yr, eta_sq)
+        noise = math.exp(params[3]) if self.estimate_sigma else self.fixed_noise_diag
         try:
-            return gp_mod._profiled_gls(a, self.y, self.h)[-1]
+            whitened = self._whiten_grid(hp, noise) if self.grid is not None else self._whiten_dense(hp, noise)
+            return gp_mod._profiled_gls(*whitened)[-1]
         except (np.linalg.LinAlgError, ValueError):
             return float("-inf")
 
@@ -121,6 +193,17 @@ def _heuristic_start(x_std, y, h, estimate_sigma, log_bounds):
     if estimate_sigma:
         start.append(math.log(1e-2 * eta0))
     return np.clip(start, log_bounds[:, 0], log_bounds[:, 1])
+
+
+def _thread_cap() -> int:
+    text = os.environ.get("MORTGP_THREADS", "1")
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"MORTGP_THREADS must be a positive integer, got {text!r}")
+    return value
 
 
 def fit_mle(
@@ -179,7 +262,7 @@ def fit_mle(
     def run(start: np.ndarray):
         return minimize(obj, start, method="Nelder-Mead", bounds=log_bounds, options=options)
 
-    n_workers = min(config.n_restarts, max(1, int(os.environ.get("MORTGP_THREADS", "1"))))
+    n_workers = min(config.n_restarts, _thread_cap())
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run, starts))
@@ -199,7 +282,16 @@ def fit_mle(
     trace = []
     for start, res in zip(starts, results):
         value = -res.fun if np.isfinite(res.fun) and res.fun < 1e12 else float("-inf")
-        trace.append(RestartRecord(start=raw_params(start), end=raw_params(res.x), log_likelihood=value, success=bool(res.success)))
+        trace.append(
+            RestartRecord(
+                start=raw_params(start),
+                end=raw_params(res.x),
+                log_likelihood=value,
+                success=bool(res.success),
+                evaluations=int(res.nfev),
+                iterations=int(res.nit),
+            )
+        )
 
     values = np.array([rec.log_likelihood for rec in trace])
     if not np.isfinite(values).any():

@@ -72,17 +72,44 @@ def _separations(family: KernelFamily, X, Xstar) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def _matern52_1d(r: np.ndarray) -> np.ndarray:
-    # r = |d| / theta, one coordinate of the separable product
-    return (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * np.exp(-SQRT5 * r)
+def _matern52_1d(s: np.ndarray, theta: float, out, tmp, tmp2) -> np.ndarray:
+    # one coordinate of the separable product:
+    # (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r) with r = |d| / theta
+    r = np.divide(s, theta, out=tmp)
+    poly = np.multiply(SQRT5, r, out=out)
+    poly += 1.0
+    quad = np.multiply(5.0, r, out=tmp2)
+    quad *= r
+    quad /= 3.0
+    poly += quad
+    decay = np.multiply(-SQRT5, r, out=quad)
+    poly *= np.exp(decay, out=decay)
+    return poly
 
 
-def _cov_from_separations(family: KernelFamily, hp: KernelHyperparams, s_ag: np.ndarray, s_yr: np.ndarray) -> np.ndarray:
-    """Covariance from the separations ``_separations`` returns for the same family."""
+def _cov_from_separations(family: KernelFamily, hp: KernelHyperparams, s_ag: np.ndarray, s_yr: np.ndarray, work=None) -> np.ndarray:
+    """Covariance from the separations ``_separations`` returns for the same family.
+
+    ``work``, if given, is four float arrays of the separations' shape; the
+    covariance is written into ``work[0]`` and nothing is allocated.  The
+    operations, and so the result to the last bit, are the same either way.
+    """
+    w0, w1, w2, w3 = (None,) * 4 if work is None else work
     if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return hp.eta_sq * np.exp(-s_ag / (2.0 * hp.theta_ag**2) - s_yr / (2.0 * hp.theta_yr**2))
+        # -s_ag / c_ag - s_yr / c_yr; s / -c is exactly -s / c
+        out = np.divide(s_ag, -2.0 * hp.theta_ag**2, out=w0)
+        out -= np.divide(s_yr, 2.0 * hp.theta_yr**2, out=w1)
+        # in place with a workspace; without one a fresh array, as the closed
+        # form allocates, which keeps callers' peak memory where it was
+        out = np.exp(out, out=w0)
+        out *= hp.eta_sq
+        return out
     if family is KernelFamily.MATERN52:
-        return hp.eta_sq * _matern52_1d(s_ag / hp.theta_ag) * _matern52_1d(s_yr / hp.theta_yr)
+        # (eta^2 * m_ag) * m_yr, in this order
+        out = _matern52_1d(s_ag, hp.theta_ag, w0, w1, w2)
+        out *= hp.eta_sq
+        out *= _matern52_1d(s_yr, hp.theta_yr, w1, w2, w3)
+        return out
     raise ValueError(f"unknown kernel family {family!r}")
 
 

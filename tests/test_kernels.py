@@ -17,6 +17,7 @@ from mortgp import (
     dcov_dyr,
     noise_diagonal,
 )
+from mortgp import kernels
 from mortgp.kernels import observation_variance
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
@@ -142,6 +143,29 @@ class TestCovMatrix:
             x = rng.uniform(0, 40, size=(25, 2))
             eigenvalues = np.linalg.eigvalsh(cov_matrix(family, hp, x))
             assert eigenvalues.min() >= -1e-10 * hp.eta_sq
+
+    @pytest.mark.parametrize("family", [SQEXP, MATERN])
+    def test_workspace_matches_closed_form_bit_for_bit(self, family):
+        def reference(hp, s_ag, s_yr):
+            if family is SQEXP:
+                return hp.eta_sq * np.exp(-s_ag / (2.0 * hp.theta_ag**2) - s_yr / (2.0 * hp.theta_yr**2))
+
+            def m(r):
+                return (1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0) * np.exp(-math.sqrt(5.0) * r)
+
+            return hp.eta_sq * m(s_ag / hp.theta_ag) * m(s_yr / hp.theta_yr)
+
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0, 40, size=(30, 2))
+        seps = kernels._separations(family, x, x)
+        work = np.full((4, 30, 30), np.nan)
+        for _ in range(5):
+            hp = random_hp(rng)
+            expected = reference(hp, *seps)
+            in_place = kernels._cov_from_separations(family, hp, *seps, work=work)
+            assert np.shares_memory(in_place, work[0])
+            np.testing.assert_array_equal(in_place, expected)
+            np.testing.assert_array_equal(kernels._cov_from_separations(family, hp, *seps), expected)
 
     def test_cross_cov_consistent_with_scalar(self):
         rng = np.random.default_rng(13)
