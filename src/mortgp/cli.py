@@ -56,12 +56,22 @@ def _parse_subset(text: str) -> SubsetSpec | None:
     return SubsetSpec.parse(text)
 
 
-def _parse_noise(text: str):
+def _noise_model(text: str):
+    """``fit_mle``'s noise argument for a ``--noise`` value; ValueError when malformed."""
     if text == "constant":
         return "constant"
     if text.startswith("delta:"):
         return DeltaMethodNoise(float(text.split(":", 1)[1]))
-    raise argparse.ArgumentTypeError(f"noise must be 'constant' or 'delta:K', got {text!r}")
+    raise ValueError(text)
+
+
+def _parse_noise(text: str) -> str:
+    # checks the form but keeps the string, which manifest.json records
+    try:
+        _noise_model(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected constant|delta:K with K > 0, got {text!r}") from None
+    return text
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -140,7 +150,7 @@ def cmd_fit(args) -> int:
     out = _outdir(args)
     table = _load_training_table(args)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
-    result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_parse_noise(args.noise), config=config)
+    result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
     save_model(result.model, out / "model.json")
     rows = [
         ["theta_ag", repr(result.hp.theta_ag)],
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, data=True)
     p.add_argument("--mean", choices=sorted(MEAN_NAMES), default="intercept")
     p.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default="sqexp")
-    p.add_argument("--noise", default="constant", help="constant or delta:K (overdispersion factor K)")
+    p.add_argument("--noise", type=_parse_noise, default="constant", help="constant or delta:K (overdispersion factor K)")
     p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(func=cmd_fit)
 

@@ -259,6 +259,27 @@ def fit_gls(
     return fit_gls_xy(table.inputs(), table.responses(), family, hp, basis=basis, noise=noise, noise_diag=noise_diag)
 
 
+def _condition(gp: FittedGP, c: np.ndarray, hs: np.ndarray, prior_var):
+    """Posterior of M linear functionals of the latent surface (Rasmussen & Williams, *GPML*, §9.4).
+
+    ``c`` is their (n, M) prior covariance with the training values, ``hs``
+    their (M, p) values on the scaled basis and ``prior_var`` their prior
+    variances.  Returns ``(mean, var, v, u, gu)``: ``v = L⁻¹c`` and, with a
+    basis, ``u = hsᵀ - H_whiteᵀv`` and ``gu = G⁻¹u`` (else ``None``), so the
+    posterior covariance is the prior one - ``vᵀv`` + ``uᵀgu``.
+    """
+    v = solve_triangular(gp.chol, c, lower=True)
+    mean = c.T @ gp.alpha
+    var = prior_var - np.einsum("ij,ij->j", v, v)
+    u = gu = None
+    if gp.basis is not None:
+        mean = mean + hs @ gp.beta_scaled
+        u = hs.T - gp.H_white.T @ v
+        gu = cho_solve(gp.G_cho, u)
+        var = var + np.einsum("ij,ij->j", u, gu)
+    return mean, var, v, u, gu
+
+
 def predict(gp: FittedGP, x_star, want_covariance: bool = False) -> PosteriorSummary:
     """Posterior of the latent surface at new inputs.
 
@@ -268,16 +289,7 @@ def predict(gp: FittedGP, x_star, want_covariance: bool = False) -> PosteriorSum
     """
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
     c = kernels.cross_cov(gp.family, gp.hp, gp.x, xs)
-    v = solve_triangular(gp.chol, c, lower=True)
-
-    mean = c.T @ gp.alpha
-    var = np.full(xs.shape[0], gp.hp.eta_sq) - np.einsum("ij,ij->j", v, v)
-    if gp.basis is not None:
-        hs = gp.scaled_basis_matrix(xs)
-        mean = mean + hs @ gp.beta_scaled
-        u = hs.T - gp.H_white.T @ v
-        gu = cho_solve(gp.G_cho, u)
-        var = var + np.einsum("ij,ij->j", u, gu)
+    mean, var, v, u, gu = _condition(gp, c, gp.scaled_basis_matrix(xs), gp.hp.eta_sq)
 
     covariance = None
     if want_covariance:
@@ -347,18 +359,26 @@ def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:
     """
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
     d = kernels.dcross_cov_dyr(gp.hp, gp.x, xs, gp.family)
-    vd = solve_triangular(gp.chol, d, lower=True)
-
-    mean = d.T @ gp.alpha
-    prior_var = gp.hp.eta_sq / gp.hp.theta_yr**2
-    var = np.full(xs.shape[0], prior_var) - np.einsum("ij,ij->j", vd, vd)
-    if gp.basis is not None:
-        # year-derivative of the rescaled basis is constant across inputs
-        dh = means.dbasis_dyr(gp.basis) / gp.basis_scale[1]
-        mean = mean + dh @ gp.beta_scaled
-        u = dh[:, None] - gp.H_white.T @ vd
-        var = var + np.einsum("ij,ij->j", u, cho_solve(gp.G_cho, u))
+    # year-derivative of the rescaled basis is constant across inputs
+    dh = means.dbasis_dyr(gp.basis) / gp.basis_scale[1]
+    mean, var, *_ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.size)), gp.hp.eta_sq / gp.hp.theta_yr**2)
     return PosteriorSummary(inputs=xs, mean=mean, variance=_clamp_variance(var))
+
+
+def _year_difference(gp: FittedGP, ages, year_lo: float, year_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of f(age, year_hi) - f(age, year_lo) for every age.
+
+    One linear functional per age; its prior variance is 2(eta_sq - k), with k
+    the (stationary) kernel between the two years at a common age.
+    """
+    ages = np.asarray(ages, dtype=float)
+    lo = np.column_stack([ages, np.full(ages.size, float(year_lo))])
+    hi = np.column_stack([ages, np.full(ages.size, float(year_hi))])
+    c = kernels.cross_cov(gp.family, gp.hp, gp.x, hi) - kernels.cross_cov(gp.family, gp.hp, gp.x, lo)
+    k = kernels.cross_cov(gp.family, gp.hp, [0.0, year_hi], [0.0, year_lo])[0, 0]
+    hs = gp.scaled_basis_matrix(hi) - gp.scaled_basis_matrix(lo)
+    mean, var, *_ = _condition(gp, c, hs, 2.0 * (gp.hp.eta_sq - k))
+    return mean, _clamp_variance(var)
 
 
 def log_marginal_likelihood(

@@ -281,7 +281,7 @@ def fit_mle(
 
     trace = []
     for start, res in zip(starts, results):
-        value = -res.fun if np.isfinite(res.fun) and res.fun < 1e12 else float("-inf")
+        value = float(-res.fun) if np.isfinite(res.fun) and res.fun < 1e12 else float("-inf")
         trace.append(
             RestartRecord(
                 start=raw_params(start),

@@ -3,13 +3,15 @@
 Four curve kinds over a fixed calendar year, indexed by age:
 
 * ``observed``   -- raw year-over-year factors 1 - m(yr)/m(yr-1) from the data;
-* ``backward_gp`` -- the same ratio with posterior draws of the latent surface
-  substituted for the raw rates, summarized by Monte Carlo;
+* ``backward_gp`` -- the same ratio 1 - exp(d) for the latent year difference
+  d = f(yr) - f(yr-1), drawn from its exact 1-D posterior, by Monte Carlo;
 * ``centered``   -- the symmetric difference quotient of the latent surface at
   yr +/- h, an exact Gaussian linear functional;
 * ``derivative_gp`` -- the instantaneous improvement, minus the analytic
   year-derivative of the posterior surface, with analytic credible bands.
-"""
+
+The three posterior kinds are linear functionals of the surface, conditioned
+like a point prediction; none builds a covariance across ages."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import gp as gp_mod
 from .data import MortalityTable
-from .gp import FittedGP, _clamp_variance, _quantile_z
+from .gp import FittedGP, _quantile_z
 
 
 @dataclass
@@ -48,37 +50,20 @@ class ImprovementCurve:
                 raise ValueError("improvement sd must be non-negative")
 
 
-def _two_year_posterior(gp: FittedGP, ages: np.ndarray, year_lo: float, year_hi: float):
-    """Joint posterior at (age, year_lo) and (age, year_hi) for every age.
-
-    Returns per-age means (A, 2) and covariance blocks (A, 2, 2).
-    """
-    pts = np.empty((2 * ages.size, 2))
-    pts[0::2, 0] = ages
-    pts[0::2, 1] = year_lo
-    pts[1::2, 0] = ages
-    pts[1::2, 1] = year_hi
-    post = gp_mod.predict(gp, pts, want_covariance=True)
-    means2 = post.mean.reshape(-1, 2)
-    blocks = np.empty((ages.size, 2, 2))
-    for i in range(ages.size):
-        blocks[i] = post.covariance[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-    return means2, blocks
+def backward_ratio_samples(mean: np.ndarray, sd: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(A, n_samples) draws of 1 - exp(d) for year differences d ~ N(mean, sd**2), one row per age."""
+    draws = rng.standard_normal((mean.size, n_samples))
+    draws *= sd[:, None]
+    draws += mean[:, None]
+    np.exp(draws, out=draws)
+    return np.subtract(1.0, draws, out=draws)
 
 
-def _psd_sqrt_2x2(block: np.ndarray) -> np.ndarray:
-    # eigenvalue square root; tolerates exactly singular (including zero) blocks
-    w, v = np.linalg.eigh(block)
-    w = np.where(w > 0.0, w, 0.0)
-    return v * np.sqrt(w)
-
-
-def backward_ratio_samples(mean2: np.ndarray, block: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws of 1 - exp(f_hi) / exp(f_lo) from a joint 2-point Gaussian posterior."""
-    factor = _psd_sqrt_2x2(block)
-    z = rng.standard_normal((2, n_samples))
-    f = mean2[:, None] + factor @ z
-    return 1.0 - np.exp(f[1] - f[0])
+def _gaussian_curve(ages: np.ndarray, year: float, kind: str, mean: np.ndarray, sd: np.ndarray, level: float) -> ImprovementCurve:
+    z = _quantile_z(level)
+    return ImprovementCurve(
+        ages=ages.astype(int), year=year, kind=kind, mean=mean, sd=sd, level=level, lo=mean - z * sd, hi=mean + z * sd
+    )
 
 
 def mi_back_observed(table: MortalityTable, year: int, ages=None) -> ImprovementCurve:
@@ -112,26 +97,20 @@ def mi_back_gp(
     seed: int = 0,
     level: float = 0.80,
 ) -> ImprovementCurve:
-    """Posterior year-over-year improvement, summarized by joint Monte Carlo.
+    """Posterior year-over-year improvement, summarized by Monte Carlo.
 
-    Each age uses the exact joint 2x2 posterior of the surface in the two
-    adjacent years; bands are pointwise empirical quantiles of the draws.
+    Each age draws the exact posterior of the one-dimensional year difference
+    f(age, year) - f(age, year - 1); bands are pointwise empirical quantiles
+    of the draws.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    _quantile_z(level)  # rejects a level outside (0, 1) before any work
     ages = np.asarray(ages, dtype=float)
-    means2, blocks = _two_year_posterior(gp, ages, year - 1, year)
-    rng = np.random.default_rng(seed)
-    q = np.array([(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    mean = np.empty(ages.size)
-    sd = np.empty(ages.size)
-    lo = np.empty(ages.size)
-    hi = np.empty(ages.size)
-    for i in range(ages.size):
-        draws = backward_ratio_samples(means2[i], blocks[i], n_samples, rng)
-        mean[i] = draws.mean()
-        sd[i] = draws.std(ddof=1)
-        lo[i], hi[i] = np.quantile(draws, q)
+    mu, var = gp_mod._year_difference(gp, ages, year - 1, year)
+    draws = backward_ratio_samples(mu, np.sqrt(var), n_samples, np.random.default_rng(seed))
+    lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1)
+    mean, sd = draws.mean(axis=1), draws.std(axis=1, ddof=1)
     return ImprovementCurve(ages=ages.astype(int), year=year, kind="backward_gp", mean=mean, sd=sd, level=level, lo=lo, hi=hi)
 
 
@@ -140,14 +119,8 @@ def mi_centered(gp: FittedGP, ages, year: float, h: float, level: float = 0.80) 
     if h <= 0:
         raise ValueError("step h must be positive")
     ages = np.asarray(ages, dtype=float)
-    means2, blocks = _two_year_posterior(gp, ages, year - h, year + h)
-    mean = -(means2[:, 1] - means2[:, 0]) / (2.0 * h)
-    var = (blocks[:, 0, 0] + blocks[:, 1, 1] - 2.0 * blocks[:, 0, 1]) / (4.0 * h * h)
-    sd = np.sqrt(_clamp_variance(var))
-    z = _quantile_z(level)
-    return ImprovementCurve(
-        ages=ages.astype(int), year=year, kind="centered", mean=mean, sd=sd, level=level, lo=mean - z * sd, hi=mean + z * sd
-    )
+    mean, var = gp_mod._year_difference(gp, ages, year - h, year + h)
+    return _gaussian_curve(ages, year, "centered", -mean / (2.0 * h), np.sqrt(var) / (2.0 * h), level)
 
 
 def mi_diff_gp(gp: FittedGP, ages, year: float, level: float = 0.80) -> ImprovementCurve:
@@ -159,9 +132,4 @@ def mi_diff_gp(gp: FittedGP, ages, year: float, level: float = 0.80) -> Improvem
     ages = np.asarray(ages, dtype=float)
     pts = np.column_stack([ages, np.full(ages.size, float(year))])
     deriv = gp_mod.predict_year_derivative(gp, pts)
-    mean = -deriv.mean
-    sd = deriv.sd
-    z = _quantile_z(level)
-    return ImprovementCurve(
-        ages=ages.astype(int), year=year, kind="derivative_gp", mean=mean, sd=sd, level=level, lo=mean - z * sd, hi=mean + z * sd
-    )
+    return _gaussian_curve(ages, year, "derivative_gp", -deriv.mean, deriv.sd, level)

@@ -98,6 +98,7 @@ class TestFit:
         assert rc == 0
         model = json.loads((out / "model.json").read_text())
         assert model["noise"] == {"kind": "delta_method", "overdispersion": 2.0}
+        assert json.loads((out / "manifest.json").read_text())["options"]["noise"] == "delta:2.0"
 
 
 class TestDownstreamCommands:
@@ -237,6 +238,16 @@ class TestErrors:
         assert "--probes" in message
         assert "AGE:YEAR[,AGE:YEAR...]" in message
         assert "unpack" not in message
+
+    @pytest.mark.parametrize("noise", ["delta:abc", "delta:-1", "delta", "poisson"])
+    def test_malformed_noise_names_flag_and_form(self, data_csv, tmp_path, capsys, noise):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--data", str(data_csv), "--noise", noise, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--noise" in message
+        assert "constant|delta:K" in message
+        assert "could not convert" not in message
 
     def test_emitted_table_csv_reingestable(self, data_csv):
         table = load_table(data_csv)

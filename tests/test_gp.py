@@ -20,6 +20,7 @@ from mortgp import (
     residuals,
     sample_paths,
 )
+from mortgp.gp import _year_difference
 from mortgp.means import basis_matrix
 
 from conftest import simulate_gp_table, table_from_surface
@@ -200,6 +201,35 @@ class TestPredict:
         np.testing.assert_allclose(hi80 - post.mean, 1.2816 * post.sd, rtol=1e-4)
         np.testing.assert_allclose(hi95 - post.mean, 1.9600 * post.sd, rtol=1e-4)
         assert np.all(lo95 <= lo80)
+
+
+class TestYearDifference:
+    """The year-difference functional against differencing the joint point posterior."""
+
+    HP = KernelHyperparams(theta_ag=15.8, theta_yr=15.5, eta_sq=1.85, sigma_sq=2.8e-4)  # the published fit
+    AGES = np.array([45.0, 50.0, 57.0, 63.0, 69.0, 75.0])
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("basis", [None, MeanBasis.INTERCEPT, MeanBasis.LINEAR, MeanBasis.QUADRATIC_AGE])
+    @pytest.mark.parametrize("noise_ratio", [1e-6, 1.5e-4])
+    def test_matches_stacked_point_posterior(self, family, basis, noise_ratio):
+        # data drawn with the model's own noise; both routes scale the roundoff of alpha = A^-1 (y - H beta)
+        hp = KernelHyperparams(self.HP.theta_ag, self.HP.theta_yr, self.HP.eta_sq, noise_ratio * self.HP.eta_sq)
+        _, x, y = simulate_gp_table(range(50, 70), range(2000, 2012), hp, seed=17, family=family)
+        gp = fit_gls_xy(x, y, family, hp, basis=basis)
+        a = self.AGES.size
+        # inside the data, at its last year, and extrapolated past it
+        for year in (2005.5, 2011.0, 2016.0):
+            for h in (1.0, 0.5, 0.01):
+                mean, var = _year_difference(gp, self.AGES, year - h, year + h)
+                pts = np.column_stack([np.tile(self.AGES, 2), np.repeat([year - h, year + h], a)])
+                post = predict(gp, pts, want_covariance=True)
+                c = post.covariance
+                idx = np.arange(a)
+                ref_var = c[idx, idx] + c[idx + a, idx + a] - 2.0 * c[idx, idx + a]
+                np.testing.assert_allclose(mean, post.mean[a:] - post.mean[:a], rtol=0.0, atol=1e-10)
+                np.testing.assert_allclose(var, ref_var, rtol=0.0, atol=1e-10)
+                assert np.all(var >= 0.0)
 
 
 class TestPredictObservation:

@@ -172,6 +172,10 @@ class TestFitMle:
         counts = [[(t.evaluations, t.iterations) for t in r.restart_trace] for r in (first, second)]
         assert counts[0] == counts[1]
 
+    def test_restart_log_likelihoods_are_plain_floats(self, sim_table):
+        result = fit_mle(sim_table, config=quick_config(n_restarts=3))
+        assert all(type(rec.log_likelihood) is float for rec in result.restart_trace)
+
 
 class TestEvaluateGrid:
     def test_single_point_matches_direct_evaluation(self, sim_table):

@@ -73,8 +73,9 @@ class TestObserved:
 
 class TestBackwardGP:
     def test_degenerate_posterior_with_equal_means_is_exactly_zero(self):
-        draws = backward_ratio_samples(np.array([-4.0, -4.0]), np.zeros((2, 2)), 100, np.random.default_rng(0))
-        np.testing.assert_array_equal(draws, np.zeros(100))
+        # equal means in the two years give a year difference of exactly 0
+        draws = backward_ratio_samples(np.array([0.0, 0.0]), np.zeros(2), 100, np.random.default_rng(0))
+        np.testing.assert_array_equal(draws, np.zeros((2, 100)))
 
     def test_deterministic_trend_limit(self):
         gp, _ = linear_trend_gp(slope=-0.014)
@@ -106,6 +107,22 @@ class TestBackwardGP:
         gp, _ = linear_trend_gp(sigma_sq=2e-4)
         curve = mi_back_gp(gp, list(range(52, 68)), 2011, n_samples=2000, seed=6, level=0.8)
         assert np.all(curve.lo <= curve.mean) and np.all(curve.mean <= curve.hi)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda gp, level: mi_back_gp(gp, [60], 2008, n_samples=100, level=level),
+        lambda gp, level: mi_diff_gp(gp, [60], 2008, level=level),
+        lambda gp, level: mi_centered(gp, [60], 2008, h=1.0, level=level),
+    ],
+    ids=["back", "diff", "centered"],
+)
+def test_credible_level_outside_unit_interval_rejected(curve, level):
+    gp, _ = linear_trend_gp(sigma_sq=1e-4)
+    with pytest.raises(ValueError, match=r"credible level must be in \(0, 1\)"):
+        curve(gp, level)
 
 
 class TestCentered:
