@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,16 @@ def _parse_noise(text: str) -> str:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected constant|delta:K with K > 0, got {text!r}") from None
     return text
+
+
+def _parse_level(text: str) -> float:
+    try:
+        level = float(text)
+    except ValueError:
+        level = math.nan
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a credible level in (0, 1), got {text!r}")
+    return level
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, data=False, model=False):
         p.add_argument("--out", default="mortgp_out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--level", type=float, default=0.95, help="credible level for bands")
+        p.add_argument("--level", type=_parse_level, default=0.95, help="credible level for bands, in (0, 1)")
         if data:
             p.add_argument("--data", required=True, help="mortality CSV (age,year,deaths,exposure)")
             p.add_argument("--subset", default="all", help="all, subset1..3, or Y0-Y1:A0-A1[,...] blocks")

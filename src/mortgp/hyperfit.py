@@ -7,10 +7,11 @@ multi-start Nelder-Mead.  Inputs are standardized internally so the optimizer
 sees O(1) lengthscales; estimates are mapped back to raw age/year units.
 
 When the trainable cells fill an age x year grid and the noise variance is
-estimated, the objective uses the Kronecker structure of the kernel and never
-builds an n x n matrix; otherwise it factorizes the dense kernel.  The two
-agree within 1e-8 relative wherever the noise is at least 1e-6 of eta^2.
-The reported log-likelihood always comes from a dense refit at the best point.
+estimated, the objective whitens with ``gp``'s grid whitener (the Kronecker
+structure of the kernel) and never builds an n x n matrix; otherwise it
+factorizes the dense kernel.  The two agree within 1e-8 relative wherever the
+noise is at least 1e-6 of eta^2.  The reported log-likelihood comes from
+``gp.fit_gls`` at the best point, which picks its whitener by the same rule.
 
 Restarts are independent and may run in threads; set MORTGP_THREADS (a
 positive integer) to cap the pool.  Results are deterministic for a given
@@ -89,33 +90,21 @@ class FitResult:
     model: FittedGP = field(repr=False, default=None)
 
 
-def _grid_ages(x: np.ndarray) -> Optional[int]:
-    """Number of distinct ages when the rows of x are every (age, year) pair
-    of their distinct ages and years in (year, age) order, else None."""
-    ages, years = np.unique(x[:, 0]), np.unique(x[:, 1])
-    full = (
-        x.shape[0] == ages.size * years.size
-        and np.array_equal(x[:, 0], np.tile(ages, years.size))
-        and np.array_equal(x[:, 1], np.repeat(years, ages.size))
-    )
-    return ages.size if full else None
-
-
 class _ProfiledLikelihood:
     """Profiled log marginal likelihood of either kernel family over standardized inputs.
 
-    Two routes whiten the data; both feed the GLS and likelihood tail
-    ``gp._profiled_gls`` shared with ``gp.fit_gls_xy``.
+    Each evaluation builds one of ``gp``'s two whiteners and feeds
+    ``gp._whiten`` and the GLS and likelihood tail ``gp._profiled_gls``, both
+    shared with ``gp.fit_gls_xy``.
 
     * Full grid with constant noise (the inputs are every pair of their
       distinct ages and years, in ``MortalityTable``'s (year, age) order, and
-      sigma^2 is estimated): both families are products of 1-D kernels, so
-      K = eta^2 K_yr (x) K_ag and the eigendecompositions of one A x A and one
-      Y x Y matrix give the whitened data and the log-determinant
-      (Saatci 2011; Wilson et al. 2014).  No n x n array is built.  The
-      value agrees with the dense route within 1e-8 relative wherever the
-      noise is at least 1e-6 of eta^2; a non-positive eigenvalue of the
-      covariance gives -inf, as a failed Cholesky does.
+      sigma^2 is estimated): ``gp._GridWhitener`` over the 1-D kernels of
+      the first year's ages and the first age's years, whose separations are
+      computed once.  No n x n array is built.  The value agrees with the
+      dense route within 1e-8 relative wherever the noise is at least 1e-6
+      of eta^2; a non-positive eigenvalue of the covariance gives -inf, as a
+      failed Cholesky does.
     * Anything else (a notched subset, zero-death holes, delta-method noise):
       the dense kernel, computed into an n x n workspace kept per thread
       between calls, and its Cholesky factor.
@@ -125,37 +114,32 @@ class _ProfiledLikelihood:
         self.family = family
         self.y = y
         self.h = gp_mod._design(basis, x_std)
+        self.yh = np.column_stack([y, self.h])
         self.fixed_noise_diag = fixed_noise_diag  # None => constant noise, last parameter
         self.estimate_sigma = fixed_noise_diag is None
-        n_ag = _grid_ages(x_std) if self.estimate_sigma else None
-        if n_ag is not None:
+        shape = gp_mod._grid_shape(x_std) if self.estimate_sigma else None
+        if shape is not None:
+            n_ag = shape[1]
             # separations over the ages of the first year and the years of the
             # first age; the other coordinate's separations are zero there
             self.grid = (
                 kernels._separations(family, x_std[:n_ag], x_std[:n_ag]),
                 kernels._separations(family, x_std[::n_ag], x_std[::n_ag]),
             )
-            self.yh = np.column_stack([y, self.h])
         else:
             self.grid = None
             self.separations = kernels._separations(family, x_std, x_std)
             self.diag_idx = np.diag_indices(y.size)
             self._local = threading.local()
 
-    def _whiten_grid(self, hp: KernelHyperparams, sigma_sq: float):
+    def _grid_whitener(self, hp: KernelHyperparams, sigma_sq: float):
         unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
         sep_ag, sep_yr = self.grid
-        lam_ag, q_ag = np.linalg.eigh(kernels._cov_from_separations(self.family, unit, *sep_ag))
-        lam_yr, q_yr = np.linalg.eigh(kernels._cov_from_separations(self.family, unit, *sep_yr))
-        d = (hp.eta_sq * np.outer(lam_yr, lam_ag) + sigma_sq).ravel()
-        if not d.min() > 0.0:
-            raise np.linalg.LinAlgError("covariance has a non-positive eigenvalue")
-        # (Q_yr (x) Q_ag)^T [y, H]: rotate the year axis, then the age axis
-        rotated = (q_yr.T @ self.yh.reshape(lam_yr.size, -1)).reshape(lam_yr.size, lam_ag.size, -1)
-        white = (q_ag.T @ rotated).reshape(self.y.size, -1) / np.sqrt(d)[:, None]
-        return white[:, 0], white[:, 1:], 0.5 * np.log(d).sum()
+        k_yr = kernels._cov_from_separations(self.family, unit, *sep_yr)
+        k_ag = kernels._cov_from_separations(self.family, unit, *sep_ag)
+        return gp_mod._GridWhitener(k_yr, k_ag, hp.eta_sq, sigma_sq)
 
-    def _whiten_dense(self, hp: KernelHyperparams, noise):
+    def _dense_whitener(self, hp: KernelHyperparams, noise):
         work = getattr(self._local, "work", None)
         if work is None:
             work = self._local.work = np.empty((4, self.y.size, self.y.size))
@@ -163,16 +147,15 @@ class _ProfiledLikelihood:
         a[self.diag_idx] += noise
         # a is exactly symmetric, so its transpose is the same matrix in
         # Fortran order, which LAPACK factorizes in place
-        chol = cholesky(a.T, lower=True, overwrite_a=True)
-        return gp_mod._whiten(chol, self.y, self.h)
+        return gp_mod._CholeskyWhitener(cholesky(a.T, lower=True, overwrite_a=True))
 
     def loglik(self, params: np.ndarray) -> float:
         theta_ag, theta_yr, eta_sq = np.exp(params[:3])
         hp = KernelHyperparams(theta_ag, theta_yr, eta_sq)
         noise = math.exp(params[3]) if self.estimate_sigma else self.fixed_noise_diag
         try:
-            whitened = self._whiten_grid(hp, noise) if self.grid is not None else self._whiten_dense(hp, noise)
-            return gp_mod._profiled_gls(*whitened)[-1]
+            whitener = self._grid_whitener(hp, noise) if self.grid is not None else self._dense_whitener(hp, noise)
+            return gp_mod._profiled_gls(*gp_mod._whiten(whitener, self.yh))[-1]
         except (np.linalg.LinAlgError, ValueError):
             return float("-inf")
 

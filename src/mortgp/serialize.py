@@ -2,8 +2,12 @@
 
 The file stores the training arrays, kernel hyperparameters, noise model,
 basis choice, and fitted coefficients under an explicit schema version.
-Loading refactorizes, so a loaded model reproduces the original's predictions
-exactly.
+Loading refits through ``gp.fit_gls_xy``, which picks the whitener the
+original fit used: on a full grid with constant noise, two small
+eigendecompositions and no n x n array; otherwise the dense Cholesky factor.
+So a loaded model reproduces the original's predictions exactly, and a file
+written by a dense-only build (also schema 1) loads with the grid whitener and
+predicts within 1e-10 of what that build predicted.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 Hyperparameters are reused unchanged; the trend coefficients and the
 covariance factorization are recomputed over the augmented data, so an update
 is numerically identical to refitting from scratch with the same kernel.
+Appending a full calendar year to a full grid keeps it a grid, so the refit
+takes the grid whitener (see ``gp``).
 """
 
 from __future__ import annotations

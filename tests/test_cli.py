@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mortgp
-from mortgp import load_table
-from mortgp.cli import main
+from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model
+from mortgp.cli import build_parser, main
 
 from conftest import table_from_surface
 
@@ -212,6 +213,72 @@ class TestDownstreamCommands:
         assert "test RMSE" in capsys.readouterr().out
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (NumPy's buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridModelMemory:
+    """A full-grid, constant-noise model goes through every command without an n x n array."""
+
+    AGES, YEARS = range(0, 50), range(1975, 2015)
+    N_BY_N = (len(AGES) * len(YEARS)) ** 2 * 8  # bytes of one n x n float array, 32 MB
+
+    @pytest.fixture(scope="class")
+    def grid_files(self, tmp_path_factory):
+        def f(age, year):
+            return -9.0 + 0.08 * age - 0.012 * (year - 1975) + 0.02 * np.sin(0.7 * age + 0.3 * year)
+
+        root = tmp_path_factory.mktemp("grid")
+        table = table_from_surface(self.AGES, self.YEARS, f)
+        hp = KernelHyperparams(theta_ag=15.8, theta_yr=15.5, eta_sq=1.85, sigma_sq=2.8e-4)
+        save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
+        table_from_surface(self.AGES, [2015], f).save(root / "new.csv")
+        return root
+
+    COMMANDS = {
+        "smooth": ["smooth"],
+        "forecast": ["forecast", "--years", "2015-2020", "--ages", "0-49"],
+        "improve-back": ["improve", "--kind", "back", "--year", "2014", "--n-samples", "2000"],
+        "improve-diff": ["improve", "--kind", "diff", "--year", "2014"],
+        "improve-centered": ["improve", "--kind", "centered", "--year", "2014"],
+        "sample": ["sample", "--year", "2015", "--ages", "0-49", "--n-paths", "200"],
+        "update": ["update", "--new-data", "new.csv"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_peak_below_an_n_by_n_array(self, grid_files, tmp_path, command):
+        args = [str(grid_files / a) if a.endswith(".csv") else a for a in self.COMMANDS[command]]
+        argv = args[:1] + ["--model", str(grid_files / "model.json"), "--out", str(tmp_path)] + args[1:]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0] and peak < self.N_BY_N / 4
+
+    def test_load_model_peak_below_an_n_by_n_array(self, grid_files):
+        assert traced_peak(lambda: load_model(grid_files / "model.json")) < self.N_BY_N / 4
+
+
+# valid arguments, apart from --level, for every command that takes --level
+LEVEL_COMMANDS = {
+    "fit": lambda model, data: ["fit", "--data", str(data)],
+    "smooth": lambda model, data: ["smooth", "--model", str(model)],
+    "forecast": lambda model, data: ["forecast", "--model", str(model), "--years", "2015-2016", "--ages", "60-62"],
+    "improve-back": lambda model, data: ["improve", "--model", str(model), "--kind", "back", "--year", "2014"],
+    "improve-diff": lambda model, data: ["improve", "--model", str(model), "--kind", "diff", "--year", "2014"],
+    "improve-centered": lambda model, data: ["improve", "--model", str(model), "--kind", "centered", "--year", "2014"],
+    "improve-obs": lambda model, data: ["improve", "--data", str(data), "--kind", "obs", "--year", "2014"],
+    "sample": lambda model, data: ["sample", "--model", str(model), "--year", "2015", "--ages", "60-62"],
+    "update": lambda model, data: ["update", "--model", str(model), "--new-data", str(data)],
+    "glm": lambda model, data: ["glm", "--data", str(data)],
+    "experiment": lambda model, data: ["experiment", "--data", str(data), "--protocol", "subset3-intercept"],
+}
+
+
 class TestErrors:
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])
@@ -248,6 +315,28 @@ class TestErrors:
         assert "--noise" in message
         assert "constant|delta:K" in message
         assert "could not convert" not in message
+
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
+    @pytest.mark.parametrize("command", sorted(LEVEL_COMMANDS))
+    def test_bad_level_rejected_before_any_work(self, model_dir, data_csv, tmp_path, capsys, command, level):
+        # D6: an earlier smooth.csv keeps its bytes; D7: improve --kind obs exits 2 too
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = b"age,year,mean_log,sd_log,lo,hi\n60,2000,-4.0,0.1,-4.2,-3.8\n"
+        (out / "smooth.csv").write_bytes(earlier)
+        args = LEVEL_COMMANDS[command](model_dir / "model.json", data_csv)
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--level", level, "--out", str(out)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--level" in message and "(0, 1)" in message
+        assert (out / "smooth.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == ["smooth.csv"]
+
+    def test_every_command_with_level_is_covered(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        with_level = {name for name, p in subparsers.items() if any("--level" in a.option_strings for a in p._actions)}
+        assert with_level == {args(Path("m"), Path("d"))[0] for args in LEVEL_COMMANDS.values()}
 
     def test_emitted_table_csv_reingestable(self, data_csv):
         table = load_table(data_csv)

@@ -1,27 +1,45 @@
+import itertools
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+import mortgp.gp as gp_mod
 from mortgp import (
     ConstantNoise,
+    DeltaMethodNoise,
+    FitConfig,
     FactorizationError,
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
     cov_matrix,
     cross_cov,
+    MortalityCell,
+    MortalityTable,
     fit_gls,
     fit_gls_xy,
+    fit_mle,
+    load_model,
     log_marginal_likelihood_xy,
     predict,
     predict_observation,
+    predict_year_derivative,
     residuals,
     sample_paths,
+    subset,
+    update,
 )
+from mortgp.data import SUBSET_PRESETS
 from mortgp.gp import _year_difference
-from mortgp.means import basis_matrix
+from mortgp.means import basis_dim, basis_matrix
+from mortgp.serialize import model_to_dict
 
 from conftest import simulate_gp_table, table_from_surface
 
@@ -386,3 +404,215 @@ class TestLogMarginalLikelihood:
         with pytest.warns(UserWarning, match="likelihood evaluation failed"):
             value = log_marginal_likelihood_xy(x, np.zeros(9), SQEXP, hp, basis=None, noise_diag=np.full(9, -2.0))
         assert value == -math.inf
+
+
+def dense_route(fn, *args, **kwargs):
+    """Call fn with the grid detection switched off, so every fit takes the dense Cholesky route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp_mod, "_grid_shape", lambda x: None)
+        return fn(*args, **kwargs)
+
+
+def grid_xy(ages, years, seed=0):
+    """Inputs for every (age, year) pair in (year, age) order and trend-plus-noise log rates."""
+    rng = np.random.default_rng(seed)
+    x = np.array([[a, y] for y in years for a in ages], dtype=float)
+    y = -4.0 + 0.04 * (x[:, 0] - 60.0) - 0.01 * (x[:, 1] - 2000.0) + 0.05 * rng.standard_normal(x.shape[0])
+    return x, y
+
+
+def is_grid(gp):
+    return isinstance(gp.whitener, gp_mod._GridWhitener)
+
+
+def assert_routes_agree(grid, dense, ages, years, seed=0):
+    """Posteriors within 1e-10 absolute and the log-likelihood within 1e-8 relative."""
+    assert is_grid(grid) and not is_grid(dense)
+    assert grid.log_likelihood == pytest.approx(dense.log_likelihood, rel=1e-8)
+    ages, years = np.asarray(ages, dtype=float), np.asarray(years, dtype=float)
+    last = years[-1]
+    rng = np.random.default_rng(seed)
+    # within the data's ages: a quadratic trend extrapolated far in age has variances of 1e5,
+    # where float64 roundoff alone exceeds 1e-10 absolute
+    scattered = np.column_stack([rng.uniform(ages[0], ages[-1], 6), rng.uniform(years[0], last + 5, 6)])
+    queries = [
+        (grid.x, False),  # the training cells: a grid query
+        (np.array([[a, y] for y in (last + 1, last + 4) for a in ages]), True),  # a forecast grid
+        (scattered, True),  # not a grid: the cross-covariance is whitened densely
+    ]
+    for xs, want_covariance in queries:
+        pg, pd = predict(grid, xs, want_covariance), predict(dense, xs, want_covariance)
+        np.testing.assert_allclose(pg.mean, pd.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pg.variance, pd.variance, rtol=0, atol=1e-10)
+        if want_covariance:
+            np.testing.assert_allclose(pg.covariance, pd.covariance, rtol=0, atol=1e-10)
+    if grid.family is SQEXP:
+        at_last = np.column_stack([ages, np.full(ages.size, last)])
+        dg, dd = predict_year_derivative(grid, at_last), predict_year_derivative(dense, at_last)
+        np.testing.assert_allclose(dg.mean, dd.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dg.variance, dd.variance, rtol=0, atol=1e-10)
+    for lo, hi in ((last - 1, last), (last - 0.01, last + 0.01), (last + 2, last + 3)):
+        (mg, vg), (md, vd) = _year_difference(grid, ages, lo, hi), _year_difference(dense, ages, lo, hi)
+        np.testing.assert_allclose(mg, md, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(vg, vd, rtol=0, atol=1e-10)
+
+
+# the raw search box of fit_mle, and its corners where the noise is at least 1e-6 of eta^2
+BOX = FitConfig()
+BOX_CORNERS = [
+    KernelHyperparams(t_ag, t_yr, eta_sq, sigma_sq)
+    for t_ag, t_yr, eta_sq, sigma_sq in itertools.product(BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds)
+    if sigma_sq >= 1e-6 * eta_sq
+]
+GRID_SHAPES = {
+    "paper_35x16": (range(50, 85), range(1999, 2015)),
+    "uneven_10x5": ([0, 1, 5, 10, 20, 35, 50, 65, 80, 100], [1980, 1990, 2000, 2005, 2010]),
+    "3x12": ([60, 61, 62], range(2000, 2012)),
+}
+BASES = [None, *MeanBasis]
+
+
+class TestGridWhitener:
+    """A full grid with constant noise whitens by K = eta^2 K_yr (x) K_ag; it must agree with the dense route."""
+
+    @pytest.mark.parametrize("shape", list(GRID_SHAPES))
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_matches_dense_route(self, family, basis, shape):
+        ages, years = GRID_SHAPES[shape]
+        x, y = grid_xy(ages, years)
+        hps = [KernelHyperparams(15.8, 15.5, 1.85, 2.8e-4), *BOX_CORNERS]  # the published fit, then the corners
+        if shape == "paper_35x16":
+            # the dense reference costs most here: the long-lengthscale, low-noise corner, the
+            # worst conditioned; the smaller grids cover every corner
+            hps = [hps[0], KernelHyperparams(BOX.theta_bounds[1], BOX.theta_bounds[1], BOX.eta_sq_bounds[0], BOX.sigma_sq_bounds[0])]
+        for hp in hps:
+            grid = fit_gls_xy(x, y, family, hp, basis=basis)
+            dense = dense_route(fit_gls_xy, x, y, family, hp, basis=basis)
+            assert_routes_agree(grid, dense, ages, years)
+
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_update_matches_dense_route(self, family, basis):
+        ages, years = [0, 1, 5, 10, 20, 35, 50, 65, 80, 100], [1980, 1990, 2000, 2005, 2010]
+        x, y = grid_xy(ages, years)
+        new = table_from_surface(ages, [2012], lambda a, yr: -4.0 + 0.04 * (a - 60) - 0.12)
+        for hp in (KernelHyperparams(15.8, 15.5, 1.85, 2.8e-4), *BOX_CORNERS[::3]):
+            grid = update(fit_gls_xy(x, y, family, hp, basis=basis), new)
+            dense = dense_route(lambda: update(fit_gls_xy(x, y, family, hp, basis=basis), new))
+            assert_routes_agree(grid, dense, ages, [*years, 2012])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        ages=st.lists(st.integers(0, 100), min_size=2, max_size=12, unique=True),
+        years=st.lists(st.integers(1950, 2020), min_size=2, max_size=12, unique=True),
+        family=st.sampled_from(list(KernelFamily)),
+        basis=st.sampled_from(BASES),
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        seed=st.integers(0, 1000),
+    )
+    def test_agrees_with_dense_route_over_search_box(self, ages, years, family, basis, fractions, seed):
+        assume(basis is not MeanBasis.QUADRATIC_AGE or len(ages) >= 3)
+        assume(len(ages) * len(years) >= basis_dim(basis))
+        bounds = np.log([BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds])
+        hp = KernelHyperparams(*np.exp(bounds[:, 0] + np.array(fractions) * (bounds[:, 1] - bounds[:, 0])))
+        assume(hp.sigma_sq >= 1e-6 * hp.eta_sq)
+        ages, years = sorted(ages), sorted(years)
+        x, y = grid_xy(ages, years, seed)
+        grid = fit_gls_xy(x, y, family, hp, basis=basis)
+        dense = dense_route(fit_gls_xy, x, y, family, hp, basis=basis)
+        assert_routes_agree(grid, dense, ages, years, seed)
+
+
+class TestWhitenerRoute:
+    """Which whitener a fit takes; outputs must not depend on it beyond the tolerances above."""
+
+    HP = KernelHyperparams(theta_ag=8.0, theta_yr=6.0, eta_sq=0.4, sigma_sq=3e-4)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return table_from_surface(range(50, 62), range(2000, 2008), lambda a, y: -5.0 + 0.04 * a - 0.012 * (y - 2000))
+
+    def test_full_grid_with_constant_noise_takes_grid_route(self, table):
+        gp = fit_gls(table, SQEXP, self.HP, basis=MeanBasis.QUADRATIC_AGE)
+        assert is_grid(gp) and gp.jitter == 0.0
+        noisy, _, _ = simulate_gp_table(range(50, 62), range(2000, 2008), self.HP, seed=3)
+        result = fit_mle(noisy, basis=MeanBasis.QUADRATIC_AGE, config=FitConfig(n_restarts=1))
+        assert is_grid(result.model)  # fit_mle's final refit
+
+    def test_update_with_a_full_calendar_year_takes_grid_route(self, table):
+        gp = fit_gls(table, SQEXP, self.HP)
+        new = table_from_surface(range(50, 62), [2008], lambda a, y: -5.0 + 0.04 * a - 0.1)
+        assert is_grid(update(gp, new))
+
+    def test_partial_year_update_takes_dense_route(self, table):
+        gp = fit_gls(table, SQEXP, self.HP)
+        new = table_from_surface(range(50, 56), [2008], lambda a, y: -5.0 + 0.04 * a - 0.1)
+        updated = update(gp, new)
+        assert updated.n == 12 * 8 + 6 and not is_grid(updated)
+
+    @pytest.mark.parametrize("case", ["subset2", "zero_death_cell", "delta_noise", "zero_noise_jitter"])
+    def test_other_inputs_take_dense_route(self, table, case):
+        hp, noise = self.HP, None
+        if case == "subset2":
+            table = subset(table_from_surface(range(50, 85), range(1999, 2015), lambda a, y: -9.0 + 0.08 * a), SUBSET_PRESETS["subset2"])
+        elif case == "zero_death_cell":
+            cells = list(table)
+            cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
+            with pytest.warns(UserWarning, match="zero-death"):
+                table = MortalityTable(cells)
+        elif case == "delta_noise":
+            noise = DeltaMethodNoise(1.5)
+        else:
+            hp = KernelHyperparams(self.HP.theta_ag, self.HP.theta_yr, self.HP.eta_sq, 0.0)
+        gp = fit_gls(table, SQEXP, hp, noise=noise)
+        assert not is_grid(gp)
+        assert (gp.jitter > 0.0) == (case == "zero_noise_jitter")
+
+    def test_grid_eigenvalue_failure_falls_back_to_dense(self, table, monkeypatch):
+        # at sigma^2 / eta^2 near 1e-14 with long lengthscales, roundoff can leave an entry of D
+        # at or below zero while the dense Cholesky still succeeds; such a model must still fit
+        def no_grid(*args):
+            raise np.linalg.LinAlgError("covariance has a non-positive eigenvalue")
+
+        expected = fit_gls(table, SQEXP, self.HP)
+        monkeypatch.setattr(gp_mod._GridWhitener, "__init__", no_grid)
+        gp = fit_gls(table, SQEXP, self.HP)
+        assert not is_grid(gp) and gp.jitter == 0.0
+        assert gp.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-8)
+
+    def test_model_json_stays_schema_1(self, table):
+        d = model_to_dict(fit_gls(table, SQEXP, self.HP))
+        assert d["schema_version"] == 1
+        assert sorted(d) == sorted(
+            ["schema_version", "family", "hyperparams", "noise", "basis", "beta", "inputs", "y", "noise_diag", "log_likelihood"]
+        )
+
+    def test_file_written_by_dense_release_loads_and_predicts(self):
+        # written by the dense-only release (mortgp 0.1.0 before the grid whitener):
+        # a 12 x 7 grid, squared exponential, quadratic basis, and its posteriors
+        data = Path(__file__).parent / "data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the stored coefficients agree with the refit
+            gp = load_model(data / "dense_release_model.json")
+        stored = json.loads((data / "dense_release_model.json").read_text())
+        expected = json.loads((data / "dense_release_posterior.json").read_text())
+        assert is_grid(gp)
+        assert gp.log_likelihood == pytest.approx(stored["log_likelihood"], rel=1e-8)
+        ages = np.unique(gp.x[:, 0])
+        smooth = predict(gp, gp.x)
+        forecast = predict(gp, expected["forecast"]["inputs"], want_covariance=True)
+        deriv = predict_year_derivative(gp, np.column_stack([ages, np.full(ages.size, 2006.0)]))
+        diff = _year_difference(gp, ages, 2005.0, 2006.0)
+        pairs = [
+            (smooth.mean, expected["smooth"]["mean"]),
+            (smooth.variance, expected["smooth"]["variance"]),
+            (forecast.mean, expected["forecast"]["mean"]),
+            (forecast.covariance, expected["forecast"]["covariance"]),
+            (deriv.mean, expected["derivative_2006"]["mean"]),
+            (deriv.variance, expected["derivative_2006"]["variance"]),
+            (diff[0], expected["difference_2005_2006"]["mean"]),
+            (diff[1], expected["difference_2005_2006"]["variance"]),
+        ]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, np.asarray(want), rtol=0, atol=1e-10)
