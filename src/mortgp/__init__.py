@@ -29,7 +29,7 @@ from .gp import (
     residuals,
     sample_paths,
 )
-from .hyperfit import FitConfig, FitResult, evaluate_grid, fit_mle
+from .hyperfit import FitConfig, FitResult, fit_mle
 from .improvement import ImprovementCurve, mi_back_gp, mi_back_observed, mi_centered, mi_diff_gp
 from .kernels import (
     ConstantNoise,
@@ -74,7 +74,6 @@ __all__ = [
     "sample_paths",
     "FitConfig",
     "FitResult",
-    "evaluate_grid",
     "fit_mle",
     "ImprovementCurve",
     "mi_back_gp",

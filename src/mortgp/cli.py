@@ -125,6 +125,7 @@ def _write_manifest(out: Path, command: str, args) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # rows hold Python ints, floats (written as their repr), strings and None (an empty cell)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -133,8 +134,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _posterior_rows(xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float):
     lo, hi = post.band(level)
-    for i in range(xs.shape[0]):
-        yield [int(xs[i, 0]), int(xs[i, 1]), repr(float(post.mean[i])), repr(float(post.sd[i])), repr(float(lo[i])), repr(float(hi[i]))]
+    cells = xs.astype(int)
+    return zip(cells[:, 0].tolist(), cells[:, 1].tolist(), post.mean.tolist(), post.sd.tolist(), lo.tolist(), hi.tolist())
 
 
 POSTERIOR_HEADER = ["age", "year", "mean_log", "sd_log", "lo", "hi"]
@@ -164,12 +165,12 @@ def cmd_fit(args) -> int:
     result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
     save_model(result.model, out / "model.json")
     rows = [
-        ["theta_ag", repr(result.hp.theta_ag)],
-        ["theta_yr", repr(result.hp.theta_yr)],
-        ["eta_sq", repr(result.hp.eta_sq)],
-        ["sigma_sq", repr(result.hp.sigma_sq)],
-        *[[name, repr(float(v))] for name, v in zip(BETA_LABELS[result.basis], result.beta)],
-        ["log_likelihood", repr(result.log_likelihood)],
+        ["theta_ag", result.hp.theta_ag],
+        ["theta_yr", result.hp.theta_yr],
+        ["eta_sq", result.hp.eta_sq],
+        ["sigma_sq", result.hp.sigma_sq],
+        *zip(BETA_LABELS[result.basis], result.beta.tolist()),
+        ["log_likelihood", result.log_likelihood],
         ["converged", str(result.converged).lower()],
         ["bound_hit", str(result.bound_hit).lower()],
     ]
@@ -208,11 +209,9 @@ def cmd_forecast(args) -> int:
 
 
 def _curve_rows(curve: imp_mod.ImprovementCurve):
-    for i, age in enumerate(curve.ages):
-        sd = repr(float(curve.sd[i])) if curve.sd is not None else ""
-        lo = repr(float(curve.lo[i])) if curve.lo is not None else ""
-        hi = repr(float(curve.hi[i])) if curve.hi is not None else ""
-        yield [int(age), int(curve.year), curve.kind, repr(float(curve.mean[i])), sd, lo, hi]
+    n = curve.ages.size
+    sd, lo, hi = (v.tolist() if v is not None else [None] * n for v in (curve.sd, curve.lo, curve.hi))
+    return zip(curve.ages.astype(int).tolist(), [int(curve.year)] * n, [curve.kind] * n, curve.mean.tolist(), sd, lo, hi)
 
 
 def cmd_improve(args) -> int:
@@ -249,10 +248,8 @@ def cmd_sample(args) -> int:
     ages = np.arange(args.ages[0], args.ages[1] + 1)
     pts = np.column_stack([ages, np.full(ages.size, args.year)]).astype(float)
     paths = gp_mod.sample_paths(gp, pts, args.n_paths, args.seed)
-    rows = []
-    for k in range(paths.shape[0]):
-        for i, age in enumerate(ages):
-            rows.append([k, int(age), args.year, repr(float(paths[k, i]))])
+    ages_list = ages.tolist()
+    rows = ([k, age, args.year, v] for k, path in enumerate(paths.tolist()) for age, v in zip(ages_list, path))
     _write_csv(out / "paths.csv", ["path", "age", "year", "value"], rows)
     _write_manifest(out, "sample", args)
     print(f"wrote {args.n_paths} paths over {ages.size} ages to {out / 'paths.csv'}")
@@ -267,19 +264,9 @@ def cmd_update(args) -> int:
     probes = np.asarray(args.probes, dtype=float) if args.probes else new_cells.inputs()
     report = upd_mod.update_report(gp, updated, probes)
     save_model(updated, out / "model_updated.json")
-    rows = []
-    for i in range(probes.shape[0]):
-        rows.append(
-            [
-                int(probes[i, 0]),
-                int(probes[i, 1]),
-                repr(float(report.before.mean[i])),
-                repr(float(report.before.sd[i])),
-                repr(float(report.after.mean[i])),
-                repr(float(report.after.sd[i])),
-                repr(float(report.sd_delta[i])),
-            ]
-        )
+    cells = probes.astype(int)
+    columns = (report.before.mean, report.before.sd, report.after.mean, report.after.sd, report.sd_delta)
+    rows = zip(cells[:, 0].tolist(), cells[:, 1].tolist(), *(c.tolist() for c in columns))
     _write_csv(out / "update_report.csv", ["age", "year", "mean_before", "sd_before", "mean_after", "sd_after", "sd_delta"], rows)
     _write_manifest(out, "update", args)
     print(f"updated model with {len(new_cells)} cells; report at {out / 'update_report.csv'}")
@@ -293,8 +280,8 @@ def cmd_glm(args) -> int:
     if basis is None:
         raise ValueError("GLM requires a mean basis (intercept, linear, or quadratic)")
     fit = glm_mod.fit_poisson_glm(table, basis)
-    rows = [[name, repr(float(v))] for name, v in zip(BETA_LABELS[basis], fit.beta)]
-    rows += [["deviance", repr(fit.deviance)], ["iterations", str(fit.iterations)], ["converged", str(fit.converged).lower()]]
+    rows = [*zip(BETA_LABELS[basis], fit.beta.tolist())]
+    rows += [["deviance", fit.deviance], ["iterations", fit.iterations], ["converged", str(fit.converged).lower()]]
     _write_csv(out / "glm.csv", ["parameter", "estimate"], rows)
     payload = {
         "basis": basis.value,
@@ -338,12 +325,10 @@ def cmd_experiment(args) -> int:
         probes = np.array([[a, probe_year] for a in args.probe_ages], dtype=float)
         post = gp_mod.predict(gp, probes)
         for i, age in enumerate(args.probe_ages):
-            observed = ""
+            observed = None
             if full.has_cell(int(age), probe_year):
-                observed = repr(float(full.cell(int(age), probe_year).log_rate))
-            summary_rows.append(
-                [subset_name, mean_name, int(age), probe_year, repr(float(post.mean[i])), repr(float(post.sd[i])), observed]
-            )
+                observed = float(full.cell(int(age), probe_year).log_rate)
+            summary_rows.append([subset_name, mean_name, int(age), probe_year, post.mean[i].item(), post.sd[i].item(), observed])
 
         test_spec = TEST_PRESETS.get(subset_name)
         if test_spec is not None:
@@ -366,8 +351,8 @@ def cmd_experiment(args) -> int:
     _write_manifest(out, "experiment", args)
     print(f"{'train':<9} {'mean':<10} {'age':>4} {'year':>5}  {'m*':>9}  {'s*':>8}  observed")
     for row in summary_rows:
-        obs = f"{float(row[6]):9.4f}" if row[6] else "        -"
-        print(f"{row[0]:<9} {row[1]:<10} {row[2]:>4} {row[3]:>5}  {float(row[4]):9.4f}  {float(row[5]):8.4f} {obs}")
+        obs = f"{row[6]:9.4f}" if row[6] is not None else "        -"
+        print(f"{row[0]:<9} {row[1]:<10} {row[2]:>4} {row[3]:>5}  {row[4]:9.4f}  {row[5]:8.4f} {obs}")
     return 0
 
 

@@ -20,6 +20,10 @@ W^T W = A^-1, and no explicit matrix inverse is ever formed.  It has two kinds:
   jittered fits), or when an eigenvalue of the grid covariance is not
   positive, W = L^-1 for the lower Cholesky factor L of A.
 
+``_Covariance`` is the only place this rule lives: ``fit_gls_xy`` (and so
+``load_model``, ``update`` and ``fit_mle``'s refit) and the MLE objective in
+``hyperfit`` both factorize through it.
+
 On the same model the two agree within 1e-10 absolute on posterior means and
 variances and 1e-8 relative on the log-likelihood wherever the noise is at
 least 1e-6 of eta^2.
@@ -227,29 +231,60 @@ def _grid_shape(x: np.ndarray) -> Optional[tuple[int, int]]:
     return (years.size, ages.size) if full else None
 
 
-def _factorize(family: KernelFamily, hp: KernelHyperparams, x: np.ndarray, noise_diag: np.ndarray):
-    """The whitener of the kernel-plus-noise matrix over x, and the jitter added to its diagonal."""
-    shape = _grid_shape(x)
-    if shape is not None and noise_diag.min() > 0.0 and np.all(noise_diag == noise_diag[0]):
-        # the ages of the first year and the years of the first age: the
-        # other coordinate's separations are zero there
-        unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
-        n_ag = shape[1]
-        try:
-            k_yr, k_ag = kernels.cov_matrix(family, unit, x[::n_ag]), kernels.cov_matrix(family, unit, x[:n_ag])
-            return _GridWhitener(k_yr, k_ag, hp.eta_sq, noise_diag[0]), 0.0
-        except np.linalg.LinAlgError:
-            pass  # roundoff eigenvalues at or below zero: the dense factorization decides
-    a = kernels.cov_matrix(family, hp, x)
-    jitter = JITTER_SCALE * hp.eta_sq if noise_diag.min() <= 0.0 else 0.0
-    a[np.diag_indices(x.shape[0])] += noise_diag + jitter
-    try:
-        return _CholeskyWhitener(cholesky(a, lower=True)), jitter
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(a).min())
-        raise FactorizationError(
-            f"covariance-plus-noise matrix is not positive definite (smallest pivot {smallest:.6e})"
-        ) from None
+def _jitter(hp: KernelHyperparams, noise_diag: np.ndarray) -> float:
+    """Diagonal nugget for an interpolation-mode fit (some noise variance zero), else 0."""
+    return JITTER_SCALE * hp.eta_sq if noise_diag.min() <= 0.0 else 0.0
+
+
+class _Covariance:
+    """The kernel-plus-noise matrix A over fixed inputs x, factorized at any hyperparameters.
+
+    This is the one rule for which whitener represents A.  The grid kind is
+    taken when x is a full grid (``_grid_shape``) and the noise diagonal is
+    constant and positive; the dense Cholesky otherwise, and also when an
+    eigenvalue of the grid covariance is not positive.  The grid test and the
+    1-D separations are computed once.  With ``reuse`` (the MLE objective,
+    which factorizes at many hyperparameters) the all-pairs separations and an
+    n x n workspace are kept from the first dense call on; otherwise no n x n
+    array outlives a call.
+    """
+
+    def __init__(self, family: KernelFamily, x: np.ndarray, reuse: bool = False):
+        self.family, self.x, self.reuse = family, x, reuse
+        self.shape = _grid_shape(x)
+        if self.shape is not None:
+            # the years of the first age and the ages of the first year: the
+            # other coordinate's separations are zero there
+            n_ag = self.shape[1]
+            self.grid_separations = [kernels._separations(family, v, v) for v in (x[::n_ag], x[:n_ag])]
+        self.separations = self.work = None
+
+    def dense(self, hp: KernelHyperparams, noise_diag: np.ndarray) -> np.ndarray:
+        """A, jitter included, as an n x n array (the workspace's, with ``reuse``)."""
+        if not self.reuse:
+            a = kernels.cov_matrix(self.family, hp, self.x)
+        else:
+            if self.separations is None:
+                self.separations = kernels._separations(self.family, self.x, self.x)
+                self.work = np.empty((4, *self.separations[0].shape))
+            a = kernels._cov_from_separations(self.family, hp, *self.separations, work=self.work)
+        a[np.diag_indices(self.x.shape[0])] += noise_diag + _jitter(hp, noise_diag)
+        return a
+
+    def __call__(self, hp: KernelHyperparams, noise_diag: np.ndarray):
+        """The whitener of A and the jitter added to its diagonal; ``LinAlgError`` when A is not positive definite."""
+        lo = noise_diag.min()
+        if self.shape is not None and lo > 0.0 and lo == noise_diag.max():
+            unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
+            k_yr, k_ag = (kernels._cov_from_separations(self.family, unit, *s) for s in self.grid_separations)
+            try:
+                return _GridWhitener(k_yr, k_ag, hp.eta_sq, lo), 0.0
+            except np.linalg.LinAlgError:
+                pass  # roundoff eigenvalues at or below zero: the dense factorization decides
+        a = self.dense(hp, noise_diag)
+        # a is exactly symmetric, so its transpose is the same matrix in
+        # Fortran order, which LAPACK factorizes in place
+        return _CholeskyWhitener(cholesky(a.T, lower=True, overwrite_a=True)), _jitter(hp, noise_diag)
 
 
 def _whiten(whitener, yh: np.ndarray):
@@ -321,7 +356,14 @@ def fit_gls_xy(
 
     center, scale = _center_scale(x)
     h_scaled = _design(basis, (x - center) / scale)
-    whitener, jitter = _factorize(family, hp, x, noise_diag)
+    cov = _Covariance(family, x)
+    try:
+        whitener, jitter = cov(hp, noise_diag)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(cov.dense(hp, noise_diag)).min())
+        raise FactorizationError(
+            f"covariance-plus-noise matrix is not positive definite (smallest pivot {smallest:.6e})"
+        ) from None
     y_white, h_white, half_logdet = _whiten(whitener, np.column_stack([y, h_scaled]))
     g_cho, beta_scaled, log_lik = _profiled_gls(y_white, h_white, half_logdet)
 

@@ -6,34 +6,26 @@ Matern-5/2, is maximized over log-transformed hyperparameters with
 multi-start Nelder-Mead.  Inputs are standardized internally so the optimizer
 sees O(1) lengthscales; estimates are mapped back to raw age/year units.
 
-When the trainable cells fill an age x year grid and the noise variance is
-estimated, the objective whitens with ``gp``'s grid whitener (the Kronecker
-structure of the kernel) and never builds an n x n matrix; otherwise it
-factorizes the dense kernel.  The two agree within 1e-8 relative wherever the
-noise is at least 1e-6 of eta^2.  The reported log-likelihood comes from
-``gp.fit_gls`` at the best point, which picks its whitener by the same rule.
-
-Restarts are independent and may run in threads; set MORTGP_THREADS (a
-positive integer) to cap the pool.  Results are deterministic for a given
-config and seed either way.
+Each evaluation factorizes through ``gp._Covariance``, the same rule
+``gp.fit_gls`` follows: the grid (Kronecker) whitener when the trainable cells
+fill an age x year grid and the noise is constant and positive, the dense
+Cholesky otherwise.  The reported log-likelihood comes from ``gp.fit_gls`` at
+the best point.  Restarts run one after another; results are deterministic
+for a given config and seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.optimize import minimize
 
 from . import gp as gp_mod
-from . import kernels, means
+from . import means
 from .data import MortalityTable, make_standardizer
 from .gp import FittedGP
 from .kernels import ConstantNoise, DeltaMethodNoise, KernelFamily, KernelHyperparams, noise_diagonal
@@ -93,68 +85,27 @@ class FitResult:
 class _ProfiledLikelihood:
     """Profiled log marginal likelihood of either kernel family over standardized inputs.
 
-    Each evaluation builds one of ``gp``'s two whiteners and feeds
-    ``gp._whiten`` and the GLS and likelihood tail ``gp._profiled_gls``, both
-    shared with ``gp.fit_gls_xy``.
-
-    * Full grid with constant noise (the inputs are every pair of their
-      distinct ages and years, in ``MortalityTable``'s (year, age) order, and
-      sigma^2 is estimated): ``gp._GridWhitener`` over the 1-D kernels of
-      the first year's ages and the first age's years, whose separations are
-      computed once.  No n x n array is built.  The value agrees with the
-      dense route within 1e-8 relative wherever the noise is at least 1e-6
-      of eta^2; a non-positive eigenvalue of the covariance gives -inf, as a
-      failed Cholesky does.
-    * Anything else (a notched subset, zero-death holes, delta-method noise):
-      the dense kernel, computed into an n x n workspace kept per thread
-      between calls, and its Cholesky factor.
+    A thin user of ``gp``: one ``gp._Covariance`` per fit (``cov``) factorizes
+    A at each evaluation, keeping its separations and, from the first dense
+    evaluation on, one n x n workspace; ``gp._whiten`` and ``gp._profiled_gls``
+    give the value, as in ``gp.fit_gls_xy``.  A failed factorization or
+    singular GLS gives -inf.
     """
 
     def __init__(self, family, x_std, y, basis, fixed_noise_diag):
-        self.family = family
-        self.y = y
         self.h = gp_mod._design(basis, x_std)
         self.yh = np.column_stack([y, self.h])
-        self.fixed_noise_diag = fixed_noise_diag  # None => constant noise, last parameter
-        self.estimate_sigma = fixed_noise_diag is None
-        shape = gp_mod._grid_shape(x_std) if self.estimate_sigma else None
-        if shape is not None:
-            n_ag = shape[1]
-            # separations over the ages of the first year and the years of the
-            # first age; the other coordinate's separations are zero there
-            self.grid = (
-                kernels._separations(family, x_std[:n_ag], x_std[:n_ag]),
-                kernels._separations(family, x_std[::n_ag], x_std[::n_ag]),
-            )
-        else:
-            self.grid = None
-            self.separations = kernels._separations(family, x_std, x_std)
-            self.diag_idx = np.diag_indices(y.size)
-            self._local = threading.local()
-
-    def _grid_whitener(self, hp: KernelHyperparams, sigma_sq: float):
-        unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
-        sep_ag, sep_yr = self.grid
-        k_yr = kernels._cov_from_separations(self.family, unit, *sep_yr)
-        k_ag = kernels._cov_from_separations(self.family, unit, *sep_ag)
-        return gp_mod._GridWhitener(k_yr, k_ag, hp.eta_sq, sigma_sq)
-
-    def _dense_whitener(self, hp: KernelHyperparams, noise):
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = np.empty((4, self.y.size, self.y.size))
-        a = kernels._cov_from_separations(self.family, hp, *self.separations, work=work)
-        a[self.diag_idx] += noise
-        # a is exactly symmetric, so its transpose is the same matrix in
-        # Fortran order, which LAPACK factorizes in place
-        return gp_mod._CholeskyWhitener(cholesky(a.T, lower=True, overwrite_a=True))
+        self.estimate_sigma = fixed_noise_diag is None  # constant noise, the last parameter
+        self.noise_diag = np.empty(y.size) if self.estimate_sigma else fixed_noise_diag
+        self.cov = gp_mod._Covariance(family, x_std, reuse=True)
 
     def loglik(self, params: np.ndarray) -> float:
         theta_ag, theta_yr, eta_sq = np.exp(params[:3])
         hp = KernelHyperparams(theta_ag, theta_yr, eta_sq)
-        noise = math.exp(params[3]) if self.estimate_sigma else self.fixed_noise_diag
+        if self.estimate_sigma:
+            self.noise_diag.fill(math.exp(params[3]))
         try:
-            whitener = self._grid_whitener(hp, noise) if self.grid is not None else self._dense_whitener(hp, noise)
+            whitener, _ = self.cov(hp, self.noise_diag)
             return gp_mod._profiled_gls(*gp_mod._whiten(whitener, self.yh))[-1]
         except (np.linalg.LinAlgError, ValueError):
             return float("-inf")
@@ -176,17 +127,6 @@ def _heuristic_start(x_std, y, h, estimate_sigma, log_bounds):
     if estimate_sigma:
         start.append(math.log(1e-2 * eta0))
     return np.clip(start, log_bounds[:, 0], log_bounds[:, 1])
-
-
-def _thread_cap() -> int:
-    text = os.environ.get("MORTGP_THREADS", "1")
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"MORTGP_THREADS must be a positive integer, got {text!r}")
-    return value
 
 
 def fit_mle(
@@ -242,15 +182,7 @@ def fit_mle(
     if config.max_iter is not None:
         options["maxiter"] = config.max_iter
 
-    def run(start: np.ndarray):
-        return minimize(obj, start, method="Nelder-Mead", bounds=log_bounds, options=options)
-
-    n_workers = min(config.n_restarts, _thread_cap())
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    results = [minimize(obj, s, method="Nelder-Mead", bounds=log_bounds, options=options) for s in starts]
 
     def raw_params(v: np.ndarray) -> dict:
         out = {
@@ -307,30 +239,3 @@ def fit_mle(
         noise=noise_model,
         model=model,
     )
-
-
-@dataclass
-class GridPoint:
-    hp: KernelHyperparams
-    log_likelihood: float
-    ok: bool
-
-
-def evaluate_grid(
-    table: MortalityTable,
-    family: KernelFamily,
-    basis: Optional[MeanBasis],
-    grid: Sequence[KernelHyperparams],
-    noise: Optional[Union[ConstantNoise, DeltaMethodNoise]] = None,
-) -> list[GridPoint]:
-    """Log marginal likelihood at each grid point; failed factorizations are marked."""
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    out = []
-    for hp in grid:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            value = gp_mod.log_marginal_likelihood(table, family, hp, noise=noise, basis=basis)
-        out.append(GridPoint(hp=hp, log_likelihood=value, ok=math.isfinite(value)))
-    return out

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mortgp
+import mortgp.gp as gp_mod
 from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model
 from mortgp.cli import build_parser, main
 
@@ -211,6 +212,32 @@ class TestDownstreamCommands:
         assert [(r["age"], r["year"]) for r in rows] == [("70", "2014"), ("80", "2014")]
         assert (out / "predictions_subset3_intercept.csv").exists()
         assert "test RMSE" in capsys.readouterr().out
+
+    def test_experiment_probe_outside_the_table_has_empty_observed_cell(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "exp"
+        argv = ["experiment", "--data", str(data_csv), "--protocol", "subset3-intercept", "--restarts", "1"]
+        assert main(argv + ["--probe-ages", "70", "99", "--out", str(out)]) == 0
+        rows = read_csv(out / "experiment.csv")
+        assert rows[0]["observed_log"] != "" and rows[1]["observed_log"] == ""
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].endswith("        -") and not printed[-2].endswith("-")
+
+    def test_csv_values_are_exact_float_reprs(self, model_dir, tmp_path):
+        # each float cell is the repr of the library's number, so it reads back bit for bit
+        model = model_dir / "model.json"
+        out = tmp_path / "paths"
+        argv = ["sample", "--model", str(model), "--year", "2012", "--ages", "50-53", "--n-paths", "3", "--seed", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        pts = np.column_stack([np.arange(50, 54), np.full(4, 2012)]).astype(float)
+        expected = gp_mod.sample_paths(load_model(model), pts, 3, 4).ravel().tolist()
+        assert [row["value"] for row in read_csv(out / "paths.csv")] == [repr(v) for v in expected]
+        out = tmp_path / "smooth"
+        assert main(["smooth", "--model", str(model), "--out", str(out)]) == 0
+        gp = load_model(model)
+        post = gp_mod.predict(gp, gp.x)
+        rows = read_csv(out / "smooth.csv")
+        assert [row["mean_log"] for row in rows] == [repr(v) for v in post.mean.tolist()]
+        assert [(row["age"], row["year"]) for row in rows] == [(str(int(a)), str(int(y))) for a, y in gp.x]
 
 
 def traced_peak(fn) -> int:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mortgp.gp as gp_mod
 import mortgp.hyperfit as hyperfit
 from mortgp import (
     ConstantNoise,
@@ -18,7 +18,7 @@ from mortgp import (
     MeanBasis,
     MortalityCell,
     MortalityTable,
-    evaluate_grid,
+    fit_gls,
     fit_mle,
     log_marginal_likelihood,
     make_standardizer,
@@ -135,35 +135,6 @@ class TestFitMle:
         with pytest.raises(ValueError, match="noise mode"):
             fit_mle(sim_table, noise="heteroskedastic", config=quick_config())
 
-    def test_thread_pool_matches_serial(self, sim_table, monkeypatch):
-        serial = fit_mle(sim_table, config=quick_config(n_restarts=3))
-        monkeypatch.setenv("MORTGP_THREADS", "3")
-        threaded = fit_mle(sim_table, config=quick_config(n_restarts=3))
-        assert serial.hp == threaded.hp
-        assert serial.log_likelihood == threaded.log_likelihood
-
-    def test_thread_pool_matches_serial_on_dense_route(self, sim_table, monkeypatch):
-        # each worker thread owns its dense workspace: more workers than cores
-        # and frequent thread switches would expose a shared one
-        config = quick_config(n_restarts=4, max_iter=60)
-        serial = fit_mle(sim_table, noise=DeltaMethodNoise(1.5), config=config)
-        monkeypatch.setenv("MORTGP_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = fit_mle(sim_table, noise=DeltaMethodNoise(1.5), config=config)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [(t.end, t.log_likelihood) for t in serial.restart_trace] == [
-            (t.end, t.log_likelihood) for t in threaded.restart_trace
-        ]
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
-    def test_bad_thread_cap_is_named(self, sim_table, monkeypatch, value):
-        monkeypatch.setenv("MORTGP_THREADS", value)
-        with pytest.raises(ValueError, match="MORTGP_THREADS must be a positive integer"):
-            fit_mle(sim_table, config=quick_config())
-
     def test_restart_records_count_evaluations_and_iterations(self, sim_table):
         first, second = (fit_mle(sim_table, config=quick_config(n_restarts=3)) for _ in range(2))
         for rec in first.restart_trace:
@@ -177,39 +148,34 @@ class TestFitMle:
         assert all(type(rec.log_likelihood) is float for rec in result.restart_trace)
 
 
-class TestEvaluateGrid:
-    def test_single_point_matches_direct_evaluation(self, sim_table):
-        hp = KernelHyperparams(theta_ag=5.0, theta_yr=5.0, eta_sq=0.4, sigma_sq=1e-4)
-        [point] = evaluate_grid(sim_table, SQEXP, MeanBasis.INTERCEPT, [hp])
-        assert point.ok
-        assert point.log_likelihood == log_marginal_likelihood(sim_table, SQEXP, hp)
-
+class TestLikelihoodSurface:
     def test_grid_containing_mle_is_maximized_there(self, sim_table):
         result = fit_mle(sim_table, config=quick_config())
         others = [
             KernelHyperparams(result.hp.theta_ag * f, result.hp.theta_yr * f, result.hp.eta_sq, result.hp.sigma_sq)
             for f in (0.2, 0.5, 2.0, 5.0)
         ]
-        points = evaluate_grid(sim_table, SQEXP, MeanBasis.INTERCEPT, [result.hp, *others])
-        values = [p.log_likelihood for p in points]
+        values = [log_marginal_likelihood(sim_table, SQEXP, hp, basis=MeanBasis.INTERCEPT) for hp in [result.hp, *others]]
         assert values[0] == max(values)
 
     def test_ridge_rises_then_falls_across_theta(self, sim_table):
         result = fit_mle(sim_table, config=quick_config())
         factors = np.array([0.1, 0.4, 1.0, 2.5, 10.0])
-        grid = [
-            KernelHyperparams(result.hp.theta_ag * f, result.hp.theta_yr, result.hp.eta_sq, result.hp.sigma_sq)
-            for f in factors
-        ]
-        values = np.array([p.log_likelihood for p in evaluate_grid(sim_table, SQEXP, MeanBasis.INTERCEPT, grid)])
+        values = np.array(
+            [
+                log_marginal_likelihood(
+                    sim_table,
+                    SQEXP,
+                    KernelHyperparams(result.hp.theta_ag * f, result.hp.theta_yr, result.hp.eta_sq, result.hp.sigma_sq),
+                    basis=MeanBasis.INTERCEPT,
+                )
+                for f in factors
+            ]
+        )
         peak = int(np.argmax(values))
         assert peak == 2  # the fitted optimum
         assert np.all(np.diff(values[: peak + 1]) > 0)
         assert np.all(np.diff(values[peak:]) < 0)
-
-    def test_empty_grid_rejected(self, sim_table):
-        with pytest.raises(ValueError, match="non-empty"):
-            evaluate_grid(sim_table, SQEXP, MeanBasis.INTERCEPT, [])
 
 
 class _Captured(Exception):
@@ -275,7 +241,7 @@ def grid_and_dense_objectives(table, family, basis):
     y = table.responses()
     grid = hyperfit._ProfiledLikelihood(family, x, y, basis, None)
     dense = hyperfit._ProfiledLikelihood(family, x[::-1], y[::-1], basis, None)
-    assert grid.grid is not None and dense.grid is None
+    assert grid.cov.shape is not None and dense.cov.shape is None
     return grid, dense
 
 
@@ -291,28 +257,71 @@ GRID_SHAPES = {
 }
 
 
+def route_case(sim_table, case):
+    """(table, noise) for a route case; only the full grid with constant noise takes the grid route."""
+    if case == "subset2":
+        return subset(grid_table(range(50, 85), range(1999, 2015)), SUBSET_PRESETS["subset2"]), "constant"
+    if case == "zero_death_cell":
+        cells = list(sim_table)
+        cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
+        with pytest.warns(UserWarning, match="zero-death"):
+            return MortalityTable(cells), "constant"
+    if case == "delta_noise":
+        return sim_table, DeltaMethodNoise(1.5)
+    if case == "partial_year":
+        # a full grid plus some ages of the next year, as a partial-year update leaves it
+        cells = [*grid_table(range(50, 62), range(2000, 2008)), *grid_table(range(50, 56), [2008], seed=1)]
+        return MortalityTable(cells), "constant"
+    return sim_table, "constant"
+
+
 class TestKroneckerRoute:
     """On a full grid with constant noise the objective uses K = eta^2 K_yr (x) K_ag."""
 
     def test_full_grid_with_constant_noise_takes_grid_route(self, monkeypatch, sim_table):
-        fun, _, _ = capture_objective(monkeypatch, sim_table, SQEXP, MeanBasis.INTERCEPT, "constant")
-        assert fun.grid is not None
-        assert not hasattr(fun, "separations")  # no n x n arrays
+        fun, x0, _ = capture_objective(monkeypatch, sim_table, SQEXP, MeanBasis.INTERCEPT, "constant")
+        assert fun.cov.shape is not None
+        assert math.isfinite(fun(x0))
+        assert fun.cov.separations is None and fun.cov.work is None  # no n x n arrays
 
     @pytest.mark.parametrize("case", ["zero_death_cell", "subset2", "delta_noise"])
     def test_other_inputs_take_dense_route(self, monkeypatch, sim_table, case):
-        noise = "constant"
-        if case == "zero_death_cell":
-            cells = list(sim_table)
-            cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
-            with pytest.warns(UserWarning, match="zero-death"):
-                table = MortalityTable(cells)
-        elif case == "subset2":
-            table = subset(grid_table(range(50, 85), range(1999, 2015)), SUBSET_PRESETS["subset2"])
-        else:
-            table, noise = sim_table, DeltaMethodNoise(1.5)
-        fun, _, _ = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
-        assert fun.grid is None
+        table, noise = route_case(sim_table, case)
+        fun, x0, _ = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
+        assert math.isfinite(fun(x0))
+        assert fun.cov.work is not None  # the dense workspace, made on the first dense evaluation
+
+    @pytest.mark.parametrize("case", ["full_grid", "subset2", "zero_death_cell", "delta_noise", "partial_year"])
+    def test_same_whitener_kind_as_fit_gls(self, monkeypatch, sim_table, case):
+        table, noise = route_case(sim_table, case)
+        fun, x0, bounds = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
+        kinds = []
+        real_whiten = gp_mod._whiten
+        monkeypatch.setattr(gp_mod, "_whiten", lambda w, yh: kinds.append(type(w)) or real_whiten(w, yh))
+        std = make_standardizer(table)
+        rng = np.random.default_rng(3)
+        expected = gp_mod._GridWhitener if case == "full_grid" else gp_mod._CholeskyWhitener
+        for v in [x0, *(rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(4))]:
+            sigma_sq = math.exp(v[3]) if noise == "constant" else 0.0
+            hp = KernelHyperparams(math.exp(v[0]) * std.sd_ag, math.exp(v[1]) * std.sd_yr, math.exp(v[2]), sigma_sq)
+            kinds.clear()
+            fun(v)
+            fit_gls(table, SQEXP, hp, noise=None if noise == "constant" else noise, basis=MeanBasis.INTERCEPT)
+            assert kinds == [expected, expected]
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_grid_eigenvalue_failure_falls_back_to_dense(self, monkeypatch, sim_table, family):
+        # as in fit_gls, a failed grid factorization hands the point to the dense Cholesky
+        def no_grid(*args):
+            raise np.linalg.LinAlgError("covariance has a non-positive eigenvalue")
+
+        fun, x0, _ = capture_objective(monkeypatch, sim_table, family, MeanBasis.INTERCEPT, "constant")
+        monkeypatch.setattr(gp_mod._GridWhitener, "__init__", no_grid)
+        std = make_standardizer(sim_table)
+        hp = KernelHyperparams(math.exp(x0[0]) * std.sd_ag, math.exp(x0[1]) * std.sd_yr, math.exp(x0[2]), math.exp(x0[3]))
+        expected = log_marginal_likelihood(sim_table, family, hp, basis=MeanBasis.INTERCEPT)
+        assert math.isfinite(expected)
+        assert -fun(x0) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("shape", list(GRID_SHAPES))
     @pytest.mark.parametrize("basis", [None, *MeanBasis], ids=lambda b: getattr(b, "value", "none"))
@@ -320,7 +329,7 @@ class TestKroneckerRoute:
     def test_matches_dense_route_and_log_marginal_likelihood(self, monkeypatch, family, basis, shape):
         table = grid_table(*GRID_SHAPES[shape])
         fun, x0, bounds = capture_objective(monkeypatch, table, family, basis, "constant")
-        assert fun.grid is not None
+        assert fun.cov.shape is not None
         _, dense = grid_and_dense_objectives(table, family, basis)
         std = make_standardizer(table)
         rng = np.random.default_rng(9)
