@@ -260,6 +260,8 @@ def cmd_update(args) -> int:
     out = _outdir(args)
     gp = load_model(args.model)
     new_cells = load_table(args.new_data)
+    if not new_cells.training_cells():
+        raise ValueError(f"new data {args.new_data} has no trainable cells (deaths > 0)")
     updated = upd_mod.update(gp, new_cells)
     probes = np.asarray(args.probes, dtype=float) if args.probes else new_cells.inputs()
     report = upd_mod.update_report(gp, updated, probes)

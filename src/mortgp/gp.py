@@ -22,7 +22,10 @@ W^T W = A^-1, and no explicit matrix inverse is ever formed.  It has two kinds:
 
 ``_Covariance`` is the only place this rule lives: ``fit_gls_xy`` (and so
 ``load_model``, ``update`` and ``fit_mle``'s refit) and the MLE objective in
-``hyperfit`` both factorize through it.
+``hyperfit`` both factorize through it.  Both kinds, and the covariances of
+point values, year-derivatives and year differences, come from two 1-D tables
+over the distinct ages and years (``kernels._tables``): the Kronecker factors
+on a grid, gathered into the full array otherwise (``kernels._gather``).
 
 On the same model the two agree within 1e-10 absolute on posterior means and
 variances and 1e-8 relative on the log-likelihood wherever the noise is at
@@ -39,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -147,18 +149,18 @@ def _kron_matmul(a_yr: np.ndarray, a_ag: np.ndarray, m: np.ndarray) -> np.ndarra
 
 
 class _GridWhitener:
-    """W = D^-1/2 (Q_yr (x) Q_ag)^T for A = eta^2 K_yr (x) K_ag + sigma^2 I on a full grid.
+    """W = D^-1/2 (Q_yr (x) Q_ag)^T for A = K_yr (x) K_ag + sigma^2 I on a full grid.
 
-    ``k_yr`` and ``k_ag`` are the unit-variance 1-D kernel factors over the
-    grid's years and ages, and D = eta^2 (lambda_yr (x) lambda_ag) + sigma^2
-    is kept as a (years, ages) array.  Raises ``LinAlgError`` when an entry
-    of D is not positive, as a failed Cholesky factorization does.
+    ``k_yr`` and ``k_ag`` are the 1-D kernel tables over the grid's years and
+    ages, eta^2 in ``k_ag``, and D = lambda_yr (x) lambda_ag + sigma^2 is kept
+    as a (years, ages) array.  Raises ``LinAlgError`` when an entry of D is
+    not positive, as a failed Cholesky factorization does.
     """
 
-    def __init__(self, k_yr: np.ndarray, k_ag: np.ndarray, eta_sq: float, sigma_sq: float):
+    def __init__(self, k_yr: np.ndarray, k_ag: np.ndarray, sigma_sq: float):
         lam_ag, self.q_ag = np.linalg.eigh(k_ag)
         lam_yr, self.q_yr = np.linalg.eigh(k_yr)
-        d = (eta_sq * np.outer(lam_yr, lam_ag) + sigma_sq).ravel()
+        d = (np.outer(lam_yr, lam_ag) + sigma_sq).ravel()
         if not d.min() > 0.0:
             raise np.linalg.LinAlgError("covariance has a non-positive eigenvalue")
         self.shape = (lam_yr.size, lam_ag.size)
@@ -219,15 +221,11 @@ def _design(basis: Optional[MeanBasis], z: np.ndarray) -> np.ndarray:
     return h
 
 
-def _grid_shape(x: np.ndarray) -> Optional[tuple[int, int]]:
-    """(years, ages) counts when the rows of x are every (age, year) pair of
-    their distinct ages and years in (year, age) order, else None."""
-    ages, years = np.unique(x[:, 0]), np.unique(x[:, 1])
-    full = (
-        x.shape[0] == ages.size * years.size > 0
-        and np.array_equal(x[:, 0], np.tile(ages, years.size))
-        and np.array_equal(x[:, 1], np.repeat(years, ages.size))
-    )
+def _grid_shape(axes) -> Optional[tuple[int, int]]:
+    """(years, ages) counts when the rows ``kernels._axes`` describes are every
+    (age, year) pair of their distinct ages and years in (year, age) order, else None."""
+    (ages, ia), (years, iy) = axes
+    full = ia.size > 0 and np.array_equal(ia + ages.size * iy, np.arange(ages.size * years.size))
     return (years.size, ages.size) if full else None
 
 
@@ -242,43 +240,33 @@ class _Covariance:
     This is the one rule for which whitener represents A.  The grid kind is
     taken when x is a full grid (``_grid_shape``) and the noise diagonal is
     constant and positive; the dense Cholesky otherwise, and also when an
-    eigenvalue of the grid covariance is not positive.  The grid test and the
-    1-D separations are computed once.  With ``reuse`` (the MLE objective,
-    which factorizes at many hyperparameters) the all-pairs separations and an
-    n x n workspace are kept from the first dense call on; otherwise no n x n
-    array outlives a call.
+    eigenvalue of the grid covariance is not positive.  The distinct ages and
+    years of x are found once; the 1-D tables over them are the grid's factors,
+    or are gathered into an n x n buffer made on the first dense call, which
+    the Cholesky factorizes in place: a dense whitener lasts until the next call.
     """
 
-    def __init__(self, family: KernelFamily, x: np.ndarray, reuse: bool = False):
-        self.family, self.x, self.reuse = family, x, reuse
-        self.shape = _grid_shape(x)
-        if self.shape is not None:
-            # the years of the first age and the ages of the first year: the
-            # other coordinate's separations are zero there
-            n_ag = self.shape[1]
-            self.grid_separations = [kernels._separations(family, v, v) for v in (x[::n_ag], x[:n_ag])]
-        self.separations = self.work = None
+    def __init__(self, family: KernelFamily, x: np.ndarray):
+        self.family = family
+        self.axes = kernels._axes(x)
+        self.shape = _grid_shape(self.axes)
+        self.buffer = None
 
     def dense(self, hp: KernelHyperparams, noise_diag: np.ndarray) -> np.ndarray:
-        """A, jitter included, as an n x n array (the workspace's, with ``reuse``)."""
-        if not self.reuse:
-            a = kernels.cov_matrix(self.family, hp, self.x)
-        else:
-            if self.separations is None:
-                self.separations = kernels._separations(self.family, self.x, self.x)
-                self.work = np.empty((4, *self.separations[0].shape))
-            a = kernels._cov_from_separations(self.family, hp, *self.separations, work=self.work)
-        a[np.diag_indices(self.x.shape[0])] += noise_diag + _jitter(hp, noise_diag)
+        """A, jitter included, gathered into the n x n buffer."""
+        if self.buffer is None:
+            self.buffer = np.empty((noise_diag.size,) * 2)
+        a = kernels._gather(*kernels._tables(self.family, hp, self.axes, self.axes), self.axes, self.axes, out=self.buffer)
+        a[np.diag_indices_from(a)] += noise_diag + _jitter(hp, noise_diag)
         return a
 
     def __call__(self, hp: KernelHyperparams, noise_diag: np.ndarray):
         """The whitener of A and the jitter added to its diagonal; ``LinAlgError`` when A is not positive definite."""
         lo = noise_diag.min()
         if self.shape is not None and lo > 0.0 and lo == noise_diag.max():
-            unit = KernelHyperparams(hp.theta_ag, hp.theta_yr, 1.0)
-            k_yr, k_ag = (kernels._cov_from_separations(self.family, unit, *s) for s in self.grid_separations)
+            k_ag, k_yr = kernels._tables(self.family, hp, self.axes, self.axes)
             try:
-                return _GridWhitener(k_yr, k_ag, hp.eta_sq, lo), 0.0
+                return _GridWhitener(k_yr, k_ag, lo), 0.0
             except np.linalg.LinAlgError:
                 pass  # roundoff eigenvalues at or below zero: the dense factorization decides
         a = self.dense(hp, noise_diag)
@@ -288,16 +276,12 @@ class _Covariance:
 
 
 def _whiten(whitener, yh: np.ndarray):
-    """Whiten the responses and the design, stacked as the columns of ``yh = [y, H]``.
+    """Whiten the responses and the design, stacked as the columns of ``yh = [y, H]``, in one pass.
 
     Returns ``(y_white, h_white, half_logdet)`` for ``_profiled_gls``.
     """
-    if isinstance(whitener, _GridWhitener):
-        white = whitener.whiten(yh)  # one pass over all columns
-        return white[:, 0], white[:, 1:], whitener.half_logdet
-    # separate triangular solves keep the dense route's numbers bit-for-bit
-    h_white = whitener.whiten(yh[:, 1:]) if yh.shape[1] > 1 else yh[:, 1:]
-    return whitener.whiten(yh[:, 0]), h_white, whitener.half_logdet
+    white = whitener.whiten(yh)
+    return white[:, 0], white[:, 1:], whitener.half_logdet
 
 
 def _profiled_gls(y_white: np.ndarray, h_white: np.ndarray, half_logdet: float):
@@ -402,32 +386,20 @@ def fit_gls(
     return fit_gls_xy(table.inputs(), table.responses(), family, hp, basis=basis, noise=noise, noise_diag=noise_diag)
 
 
-def _on_axis(values, axis: int) -> np.ndarray:
-    """Inputs at the given values of one coordinate and 0 in the other."""
-    pts = np.zeros((np.size(values), 2))
-    pts[:, axis] = values
-    return pts
+def _cross(gp: FittedGP, xs: np.ndarray, year_factor):
+    """Prior covariance of the training values with M functionals at xs.
 
-
-def _cross(gp: FittedGP, xs: np.ndarray, cov):
-    """Prior covariance ``cov(gp.x, xs)`` of the training values with functionals at xs.
-
-    ``cov`` is the cross-covariance, or a linear map of it in the year
-    coordinate, of the separable kernel with ``gp.hp``.  When the model has
-    the grid whitener and xs is itself a full grid, returns the factors
-    ``(c_yr, c_ag)`` of c = c_yr (x) c_ag instead: ``cov`` between inputs that
-    differ only in year, and the unit-variance kernel between inputs that
-    differ only in age.
+    The functionals map the surface in the year coordinate only, so the
+    covariance is eta^2 k_ag(d_ag) ``year_factor(family, d_yr, theta_yr)``
+    (``kernels._factor`` for point values): the (n, M) gather of the two
+    tables, or, when the model has the grid whitener and xs is itself a full
+    grid, the tables as the factors ``(c_yr, c_ag)`` of c = c_yr (x) c_ag.
     """
-    shape = _grid_shape(xs) if isinstance(gp.whitener, _GridWhitener) else None
-    if shape is None:
-        return cov(gp.x, xs)
-    n_ag, q_ag = gp.whitener.shape[1], shape[1]
-    unit = KernelHyperparams(gp.hp.theta_ag, gp.hp.theta_yr, 1.0)
-    return (
-        cov(_on_axis(gp.x[::n_ag, 1], 1), _on_axis(xs[::q_ag, 1], 1)),
-        kernels.cross_cov(gp.family, unit, _on_axis(gp.x[:n_ag, 0], 0), _on_axis(xs[:q_ag, 0], 0)),
-    )
+    axes, q_axes = kernels._axes(gp.x), kernels._axes(xs)
+    c_ag, c_yr = kernels._tables(gp.family, gp.hp, axes, q_axes, year_factor)
+    if isinstance(gp.whitener, _GridWhitener) and _grid_shape(q_axes) is not None:
+        return c_yr, c_ag
+    return kernels._gather(c_ag, c_yr, axes, q_axes)
 
 
 def _whiten_kron(w: _GridWhitener, c_yr: np.ndarray, c_ag: np.ndarray, b: Optional[np.ndarray], want_gram: bool):
@@ -494,7 +466,7 @@ def predict(gp: FittedGP, x_star, want_covariance: bool = False) -> PosteriorSum
     uncertainty term.
     """
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
-    c = _cross(gp, xs, partial(kernels.cross_cov, gp.family, gp.hp))
+    c = _cross(gp, xs, kernels._factor)
     k_star = kernels.cov_matrix(gp.family, gp.hp, xs) if want_covariance else None
     mean, var, covariance = _condition(gp, c, gp.scaled_basis_matrix(xs), gp.hp.eta_sq, k_star)
     if covariance is not None:
@@ -558,7 +530,7 @@ def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:
     trend-uncertainty correction as the surface posterior.
     """
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
-    d = _cross(gp, xs, lambda x, x_star: kernels.dcross_cov_dyr(gp.hp, x, x_star, gp.family))
+    d = _cross(gp, xs, kernels._dfactor)
     # year-derivative of the rescaled basis is constant across inputs
     dh = means.dbasis_dyr(gp.basis) / gp.basis_scale[1]
     mean, var, _ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.size)), gp.hp.eta_sq / gp.hp.theta_yr**2)
@@ -574,15 +546,14 @@ def _year_difference(gp: FittedGP, ages, year_lo: float, year_hi: float) -> tupl
     ages = np.asarray(ages, dtype=float)
     lo = np.column_stack([ages, np.full(ages.size, float(year_lo))])
     hi = np.column_stack([ages, np.full(ages.size, float(year_hi))])
-    cov = partial(kernels.cross_cov, gp.family, gp.hp)
+    gap = float(year_hi) - float(year_lo)
 
-    def difference(x, x_hi):
-        x_lo = x_hi.copy()
-        x_lo[:, 1] = year_lo
-        return cov(x, x_hi) - cov(x, x_lo)
+    def difference(family, d, theta):
+        # d is the separation from year_hi; year_lo's is d + gap
+        return kernels._factor(family, d, theta) - kernels._factor(family, d + gap, theta)
 
     c = _cross(gp, hi, difference)
-    k = cov([0.0, year_hi], [0.0, year_lo])[0, 0]
+    k = gp.hp.eta_sq * kernels._factor(gp.family, gap, gp.hp.theta_yr)
     hs = gp.scaled_basis_matrix(hi) - gp.scaled_basis_matrix(lo)
     mean, var, _ = _condition(gp, c, hs, 2.0 * (gp.hp.eta_sq - k))
     return mean, _clamp_variance(var)

@@ -86,10 +86,10 @@ class _ProfiledLikelihood:
     """Profiled log marginal likelihood of either kernel family over standardized inputs.
 
     A thin user of ``gp``: one ``gp._Covariance`` per fit (``cov``) factorizes
-    A at each evaluation, keeping its separations and, from the first dense
-    evaluation on, one n x n workspace; ``gp._whiten`` and ``gp._profiled_gls``
-    give the value, as in ``gp.fit_gls_xy``.  A failed factorization or
-    singular GLS gives -inf.
+    A at each evaluation, keeping the distinct inputs and, from the first
+    dense evaluation on, one n x n buffer; ``gp._whiten`` and
+    ``gp._profiled_gls`` give the value, as in ``gp.fit_gls_xy``.  A failed
+    factorization or singular GLS gives -inf.
     """
 
     def __init__(self, family, x_std, y, basis, fixed_noise_diag):
@@ -97,7 +97,7 @@ class _ProfiledLikelihood:
         self.yh = np.column_stack([y, self.h])
         self.estimate_sigma = fixed_noise_diag is None  # constant noise, the last parameter
         self.noise_diag = np.empty(y.size) if self.estimate_sigma else fixed_noise_diag
-        self.cov = gp_mod._Covariance(family, x_std, reuse=True)
+        self.cov = gp_mod._Covariance(family, x_std)
 
     def loglik(self, params: np.ndarray) -> float:
         theta_ag, theta_yr, eta_sq = np.exp(params[:3])

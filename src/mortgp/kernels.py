@@ -1,14 +1,16 @@
 """Covariance kernels over (age, year) inputs and observation-noise models.
 
-Two stationary, anisotropic families are provided: the squared-exponential
-
-    C(x, x') = eta^2 * exp(-(d_ag)^2 / (2 theta_ag^2) - (d_yr)^2 / (2 theta_yr^2))
-
-and a separable Matern-5/2 product with per-coordinate lengthscales.  The
-squared-exponential additionally supports analytic first and second
-derivatives in the year coordinate, which drive the instantaneous
-mortality-improvement posterior.  Derivative conventions are validated
-against central finite differences in the test suite.
+Two stationary, anisotropic families are provided, both separable,
+C(x, x') = eta^2 k(d_ag; theta_ag) k(d_yr; theta_yr), with the 1-D factor
+exp(-d^2 / (2 theta^2)) (squared-exponential) or (1 + sqrt5 r + 5 r^2 / 3)
+exp(-sqrt5 r), r = |d| / theta (Matern-5/2).  Every kernel array is gathered
+from two small tables, the factor between the distinct ages and between the
+distinct years of the two input sets: C[i, j] = eta^2 K_ag[ia_i, ja_j]
+K_yr[iy_i, jy_j].  The squared-exponential additionally supports analytic
+first and second derivatives in the year coordinate, which replace the year
+table and drive the instantaneous mortality-improvement posterior.
+Derivative conventions are validated against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -54,63 +56,56 @@ class KernelHyperparams:
             raise ValueError("sigma_sq must be non-negative")
 
 
-def _separations(family: KernelFamily, X, Xstar) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) per-coordinate separations in the form ``_cov_from_separations`` takes.
+def _factor(family: KernelFamily, d, theta: float) -> np.ndarray:
+    """Unit-variance 1-D kernel of the family at separations d for lengthscale theta."""
+    r = np.abs(d) / theta
+    if family is KernelFamily.SQUARED_EXPONENTIAL:
+        return np.exp(-0.5 * r * r)
+    if family is KernelFamily.MATERN52:
+        return (1.0 + SQRT5 * r + (5.0 / 3.0) * r * r) * np.exp(-SQRT5 * r)
+    raise ValueError(f"unknown kernel family {family!r}")
 
-    Squared differences for the squared-exponential, absolute differences for
-    the Matern.  The MLE computes these once per fit and reuses them at every
-    likelihood evaluation.
-    """
+
+def _dfactor(family: KernelFamily, d, theta: float) -> np.ndarray:
+    """Derivative of ``_factor`` at d = x - x' in x' (squared-exponential only)."""
+    _require_differentiable(family)
+    return _factor(family, d, theta) * d / theta**2
+
+
+def _d2factor(family: KernelFamily, d, theta: float) -> np.ndarray:
+    """Mixed second derivative of ``_factor`` at d = x - x' in x and x' (squared-exponential only)."""
+    _require_differentiable(family)
+    return _factor(family, d, theta) * (1.0 - (d / theta) ** 2) / theta**2
+
+
+def _axes(X) -> tuple:
+    """``((ages, ia), (years, iy))``: the distinct ages and years of X's rows and each row's index into them."""
     X = np.asarray(X, dtype=float).reshape(-1, 2)
-    Xstar = np.asarray(Xstar, dtype=float).reshape(-1, 2)
-    d_ag = X[:, 0:1] - Xstar[None, :, 0]
-    d_yr = X[:, 1:2] - Xstar[None, :, 1]
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return d_ag**2, d_yr**2
-    if family is KernelFamily.MATERN52:
-        return np.abs(d_ag), np.abs(d_yr)
-    raise ValueError(f"unknown kernel family {family!r}")
+    return tuple(np.unique(X[:, k], return_inverse=True) for k in (0, 1))
 
 
-def _matern52_1d(s: np.ndarray, theta: float, out, tmp, tmp2) -> np.ndarray:
-    # one coordinate of the separable product:
-    # (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r) with r = |d| / theta
-    r = np.divide(s, theta, out=tmp)
-    poly = np.multiply(SQRT5, r, out=out)
-    poly += 1.0
-    quad = np.multiply(5.0, r, out=tmp2)
-    quad *= r
-    quad /= 3.0
-    poly += quad
-    decay = np.multiply(-SQRT5, r, out=quad)
-    poly *= np.exp(decay, out=decay)
-    return poly
+def _tables(family: KernelFamily, hp: KernelHyperparams, axes, q_axes, year_factor=_factor):
+    """The age table, eta^2 included, and the ``year_factor`` year table between two ``_axes``."""
+    (ages, _), (years, _) = axes
+    (q_ages, _), (q_years, _) = q_axes
+    k_ag = hp.eta_sq * _factor(family, ages[:, None] - q_ages, hp.theta_ag)
+    return k_ag, year_factor(family, years[:, None] - q_years, hp.theta_yr)
 
 
-def _cov_from_separations(family: KernelFamily, hp: KernelHyperparams, s_ag: np.ndarray, s_yr: np.ndarray, work=None) -> np.ndarray:
-    """Covariance from the separations ``_separations`` returns for the same family.
+def _gather(t_ag: np.ndarray, t_yr: np.ndarray, axes, q_axes, out=None) -> np.ndarray:
+    """(N, M) product t_ag[ia][:, ja] * t_yr[iy][:, jy] over the rows two ``_axes`` index, into ``out`` if given."""
+    # the indices are in range by construction; mode="clip" lets np.take write into out unbuffered
+    (_, ia), (_, iy) = axes
+    (_, ja), (_, jy) = q_axes
+    out = np.take(t_ag[:, ja], ia, axis=0, out=out, mode="clip")
+    out *= np.take(t_yr[:, jy], iy, axis=0, mode="clip")
+    return out
 
-    ``work``, if given, is four float arrays of the separations' shape; the
-    covariance is written into ``work[0]`` and nothing is allocated.  The
-    operations, and so the result to the last bit, are the same either way.
-    """
-    w0, w1, w2, w3 = (None,) * 4 if work is None else work
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        # -s_ag / c_ag - s_yr / c_yr; s / -c is exactly -s / c
-        out = np.divide(s_ag, -2.0 * hp.theta_ag**2, out=w0)
-        out -= np.divide(s_yr, 2.0 * hp.theta_yr**2, out=w1)
-        # in place with a workspace; without one a fresh array, as the closed
-        # form allocates, which keeps callers' peak memory where it was
-        out = np.exp(out, out=w0)
-        out *= hp.eta_sq
-        return out
-    if family is KernelFamily.MATERN52:
-        # (eta^2 * m_ag) * m_yr, in this order
-        out = _matern52_1d(s_ag, hp.theta_ag, w0, w1, w2)
-        out *= hp.eta_sq
-        out *= _matern52_1d(s_yr, hp.theta_yr, w1, w2, w3)
-        return out
-    raise ValueError(f"unknown kernel family {family!r}")
+
+def _separable(family: KernelFamily, hp: KernelHyperparams, X, Xstar, year_factor) -> np.ndarray:
+    """(N, M) eta^2 k_ag(d_ag) year_factor(d_yr) between the rows of X and Xstar."""
+    axes, q_axes = _axes(X), _axes(Xstar)
+    return _gather(*_tables(family, hp, axes, q_axes, year_factor), axes, q_axes)
 
 
 def cov(family: KernelFamily, hp: KernelHyperparams, x, xp) -> float:
@@ -128,7 +123,7 @@ def cov_matrix(family: KernelFamily, hp: KernelHyperparams, X) -> np.ndarray:
 
 def cross_cov(family: KernelFamily, hp: KernelHyperparams, X, Xstar) -> np.ndarray:
     """(N, M) covariance between training inputs X and prediction inputs Xstar."""
-    return _cov_from_separations(family, hp, *_separations(family, X, Xstar))
+    return _separable(family, hp, X, Xstar, _factor)
 
 
 def _require_differentiable(family: KernelFamily) -> None:
@@ -156,20 +151,12 @@ def d2cov_dyr2(hp: KernelHyperparams, x, xp, family: KernelFamily = KernelFamily
     separation this is the prior variance of the year-derivative process,
     ``eta^2 / theta_yr^2``.
     """
-    _require_differentiable(family)
-    c = cov(KernelFamily.SQUARED_EXPONENTIAL, hp, x, xp)
-    d_yr = float(np.asarray(x, dtype=float)[..., 1] - np.asarray(xp, dtype=float)[..., 1])
-    return c * (1.0 - (d_yr / hp.theta_yr) ** 2) / hp.theta_yr**2
+    return float(_separable(family, hp, x, xp, _d2factor)[0, 0])
 
 
 def dcross_cov_dyr(hp: KernelHyperparams, X, Xstar, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> np.ndarray:
     """(N, M) matrix of dcov_dyr(x_i, xstar_j), differentiated in xstar's year."""
-    _require_differentiable(family)
-    X = np.asarray(X, dtype=float).reshape(-1, 2)
-    Xstar = np.asarray(Xstar, dtype=float).reshape(-1, 2)
-    c = cross_cov(KernelFamily.SQUARED_EXPONENTIAL, hp, X, Xstar)
-    d_yr = X[:, 1:2] - Xstar[None, :, 1]
-    return c * d_yr / hp.theta_yr**2
+    return _separable(family, hp, X, Xstar, _dfactor)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ from .gp import FittedGP, PosteriorSummary
 def update(gp: FittedGP, new_cells: MortalityTable) -> FittedGP:
     """Fold new cells into a fitted model, keeping its hyperparameters fixed.
 
-    New cells must be disjoint from the training cells.  Returns a new model;
-    the original is untouched.
+    New cells must be disjoint from the training cells, and a non-empty table
+    must hold at least one trainable cell (deaths > 0); an empty one leaves
+    the fit as it was.  Returns a new model; the original is untouched.
     """
+    if len(new_cells) and not new_cells.training_cells():
+        raise ValueError(f"new data has no trainable cells: all {len(new_cells)} of its cells have zero deaths")
     existing = {(int(a), int(yr)) for a, yr in gp.x}
     clash = [(c.age, c.year) for c in new_cells.training_cells() if (c.age, c.year) in existing]
     if clash:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name in sorted(lines):
             terminalreporter.write_line(f"{name}: {lines[name]}")
+
+
+def traced_memory(fn) -> tuple[int, int]:
+    """(bytes still allocated, peak bytes) traced by tracemalloc, NumPy's buffers included, over a call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def table_from_surface(ages, years, log_rate_fn, exposure=1e5, **labels):

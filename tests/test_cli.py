@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import mortgp.gp as gp_mod
 from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model
 from mortgp.cli import build_parser, main
 
-from conftest import table_from_surface
+from conftest import table_from_surface, traced_memory
 
 
 @pytest.fixture(scope="module")
@@ -240,16 +239,6 @@ class TestDownstreamCommands:
         assert [(row["age"], row["year"]) for row in rows] == [(str(int(a)), str(int(y))) for a, y in gp.x]
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc (NumPy's buffers included) while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestGridModelMemory:
     """A full-grid, constant-noise model goes through every command without an n x n array."""
 
@@ -283,11 +272,11 @@ class TestGridModelMemory:
         args = [str(grid_files / a) if a.endswith(".csv") else a for a in self.COMMANDS[command]]
         argv = args[:1] + ["--model", str(grid_files / "model.json"), "--out", str(tmp_path)] + args[1:]
         codes = []
-        peak = traced_peak(lambda: codes.append(main(argv)))
+        _, peak = traced_memory(lambda: codes.append(main(argv)))
         assert codes == [0] and peak < self.N_BY_N / 4
 
     def test_load_model_peak_below_an_n_by_n_array(self, grid_files):
-        assert traced_peak(lambda: load_model(grid_files / "model.json")) < self.N_BY_N / 4
+        assert traced_memory(lambda: load_model(grid_files / "model.json"))[1] < self.N_BY_N / 4
 
 
 # valid arguments, apart from --level, for every command that takes --level
@@ -321,6 +310,16 @@ class TestErrors:
         rc = main(["improve", "--kind", "obs", "--year", "2014", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "requires --data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [[], ["60,2015,0,100000", "61,2015,0,100000"]], ids=["header_only", "zero_deaths"])
+    def test_update_without_trainable_cells_names_new_data(self, model_dir, tmp_path, capsys, rows):
+        new = tmp_path / "new.csv"
+        new.write_text("\n".join(["age,year,deaths,exposure", *rows]) + "\n")
+        out = tmp_path / "x"
+        rc = main(["update", "--model", str(model_dir / "model.json"), "--new-data", str(new), "--out", str(out)])
+        assert rc == 1
+        assert f"new data {new} has no trainable cells" in capsys.readouterr().err
+        assert not (out / "model_updated.json").exists()
 
     @pytest.mark.parametrize("probes", ["60", "a:b"])
     def test_malformed_probes_name_flag_and_form(self, model_dir, data_csv, tmp_path, capsys, probes):

@@ -41,7 +41,7 @@ from mortgp.gp import _year_difference
 from mortgp.means import basis_dim, basis_matrix
 from mortgp.serialize import model_to_dict
 
-from conftest import simulate_gp_table, table_from_surface
+from conftest import simulate_gp_table, table_from_surface, traced_memory
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 
@@ -580,6 +580,19 @@ class TestWhitenerRoute:
         gp = fit_gls(table, SQEXP, self.HP)
         assert not is_grid(gp) and gp.jitter == 0.0
         assert gp.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-8)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_one_shot_dense_fit_holds_about_one_n_by_n_array(self, family):
+        # A is gathered into one n x n buffer, factorized in place, and the model keeps only that factor
+        x, y = grid_xy(range(40), range(1990, 2016))
+        notch = (x[:, 0] > 30) & (x[:, 1] > 2011)
+        x, y = x[~notch], y[~notch]
+        n_by_n = x.shape[0] ** 2 * 8  # n = 1004
+        models = []
+        held, peak = traced_memory(lambda: models.append(fit_gls_xy(x, y, family, self.HP, basis=MeanBasis.QUADRATIC_AGE)))
+        assert not is_grid(models[0])
+        assert peak <= 2.25 * n_by_n
+        assert held <= 1.05 * n_by_n
 
     def test_model_json_stays_schema_1(self, table):
         d = model_to_dict(fit_gls(table, SQEXP, self.HP))

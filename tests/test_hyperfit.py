@@ -282,14 +282,17 @@ class TestKroneckerRoute:
         fun, x0, _ = capture_objective(monkeypatch, sim_table, SQEXP, MeanBasis.INTERCEPT, "constant")
         assert fun.cov.shape is not None
         assert math.isfinite(fun(x0))
-        assert fun.cov.separations is None and fun.cov.work is None  # no n x n arrays
+        assert fun.cov.buffer is None  # no n x n arrays
 
     @pytest.mark.parametrize("case", ["zero_death_cell", "subset2", "delta_noise"])
     def test_other_inputs_take_dense_route(self, monkeypatch, sim_table, case):
         table, noise = route_case(sim_table, case)
         fun, x0, _ = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
         assert math.isfinite(fun(x0))
-        assert fun.cov.work is not None  # the dense workspace, made on the first dense evaluation
+        buffer = fun.cov.buffer  # the dense buffer, made on the first dense evaluation
+        assert buffer is not None
+        assert math.isfinite(fun(x0 + 0.1))
+        assert fun.cov.buffer is buffer  # and reused by the next
 
     @pytest.mark.parametrize("case", ["full_grid", "subset2", "zero_death_cell", "delta_noise", "partial_year"])
     def test_same_whitener_kind_as_fit_gls(self, monkeypatch, sim_table, case):

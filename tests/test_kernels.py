@@ -39,6 +39,43 @@ def random_pair(rng):
     return rng.uniform(0, 40, size=2), rng.uniform(0, 40, size=2)
 
 
+def closed_forms(family, hp, x, xs):
+    """All-pairs C(x_i, xs_j) from the formulas, with dC/dxs_yr and d2C/dx_yr dxs_yr for the squared-exponential."""
+    d_ag = x[:, 0:1] - xs[None, :, 0]
+    d_yr = x[:, 1:2] - xs[None, :, 1]
+    if family is SQEXP:
+        c = hp.eta_sq * np.exp(-(d_ag**2) / (2.0 * hp.theta_ag**2) - d_yr**2 / (2.0 * hp.theta_yr**2))
+        return c, c * d_yr / hp.theta_yr**2, c * (1.0 - (d_yr / hp.theta_yr) ** 2) / hp.theta_yr**2
+
+    def m(r):
+        return (1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0) * np.exp(-math.sqrt(5.0) * r)
+
+    return hp.eta_sq * m(np.abs(d_ag) / hp.theta_ag) * m(np.abs(d_yr) / hp.theta_yr), None, None
+
+
+def integer_grid(ages, years):
+    return np.array([[a, y] for y in years for a in ages], dtype=float)
+
+
+# (x, xs) pairs for the kernel gathers: each row's ages and years index tables over the distinct values
+KERNEL_INPUTS = {
+    "continuous": lambda rng: (rng.uniform(0, 40, size=(30, 2)), rng.uniform(0, 40, size=(20, 2))),
+    "repeated_grid": lambda rng: (
+        np.vstack([integer_grid(range(50, 58), range(2000, 2006)), [[53.0, 2002.0], [50.0, 2005.0]]]),
+        integer_grid(range(50, 58, 2), range(2000, 2006)),
+    ),
+    "notched_grid": lambda rng: (
+        np.delete(integer_grid(range(50, 60), range(2000, 2008)), [3, 4, 15, 40, 79], axis=0),
+        integer_grid(range(50, 60), range(2000, 2008))[::-1],
+    ),
+    "single_row": lambda rng: (np.array([[60.0, 2005.0]]), integer_grid(range(55, 65), range(2003, 2008))),
+    "absent_queries": lambda rng: (
+        integer_grid(range(50, 60), range(2000, 2008)),
+        np.column_stack([rng.uniform(45.0, 65.0, 12), rng.choice([1995.5, 2008.0, 2010.0, 2012.25], 12)]),
+    ),
+}
+
+
 class TestHyperparams:
     @pytest.mark.parametrize("field,value", [("theta_ag", 0.0), ("theta_yr", -1.0), ("eta_sq", 0.0), ("sigma_sq", -1e-9)])
     def test_invalid_values_rejected(self, field, value):
@@ -144,28 +181,25 @@ class TestCovMatrix:
             eigenvalues = np.linalg.eigvalsh(cov_matrix(family, hp, x))
             assert eigenvalues.min() >= -1e-10 * hp.eta_sq
 
+    @pytest.mark.parametrize("case", list(KERNEL_INPUTS))
     @pytest.mark.parametrize("family", [SQEXP, MATERN])
-    def test_workspace_matches_closed_form_bit_for_bit(self, family):
-        def reference(hp, s_ag, s_yr):
-            if family is SQEXP:
-                return hp.eta_sq * np.exp(-s_ag / (2.0 * hp.theta_ag**2) - s_yr / (2.0 * hp.theta_yr**2))
-
-            def m(r):
-                return (1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0) * np.exp(-math.sqrt(5.0) * r)
-
-            return hp.eta_sq * m(s_ag / hp.theta_ag) * m(s_yr / hp.theta_yr)
-
+    def test_gathers_match_closed_form(self, family, case):
         rng = np.random.default_rng(14)
-        x = rng.uniform(0, 40, size=(30, 2))
-        seps = kernels._separations(family, x, x)
-        work = np.full((4, 30, 30), np.nan)
+        x, xs = KERNEL_INPUTS[case](rng)
         for _ in range(5):
-            hp = random_hp(rng)
-            expected = reference(hp, *seps)
-            in_place = kernels._cov_from_separations(family, hp, *seps, work=work)
-            assert np.shares_memory(in_place, work[0])
-            np.testing.assert_array_equal(in_place, expected)
-            np.testing.assert_array_equal(kernels._cov_from_separations(family, hp, *seps), expected)
+            # lengthscales of the order of the input spread keep every exponent above -25,
+            # where float64 evaluates exp(a + b) itself to about 1e-14 relative
+            hp = KernelHyperparams(*rng.uniform(8.0, 30.0, 2), rng.uniform(0.1, 5.0))
+            c, dc, d2c = closed_forms(family, hp, x, xs)
+            np.testing.assert_allclose(cross_cov(family, hp, x, xs), c, rtol=1e-14, atol=0.0)
+            k = cov_matrix(family, hp, x)
+            np.testing.assert_allclose(k, closed_forms(family, hp, x, x)[0], rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(k, k.T)
+            if family is SQEXP:
+                np.testing.assert_allclose(kernels.dcross_cov_dyr(hp, x, xs), dc, rtol=1e-14, atol=0.0)
+                for i, j in [(0, 0), (0, xs.shape[0] - 1), (x.shape[0] - 1, 0)]:
+                    assert dcov_dyr(hp, x[i], xs[j]) == pytest.approx(dc[i, j], rel=1e-14, abs=0.0)
+                    assert d2cov_dyr2(hp, x[i], xs[j]) == pytest.approx(d2c[i, j], rel=1e-14, abs=0.0)
 
     def test_cross_cov_consistent_with_scalar(self):
         rng = np.random.default_rng(13)

@@ -6,6 +6,7 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
+    MortalityCell,
     MortalityTable,
     fit_gls,
     predict,
@@ -74,6 +75,14 @@ class TestUpdate:
         overlap = subset(base.merge(MortalityTable([])), SubsetSpec.rectangle((2010, 2010), (50, 55)))
         with pytest.raises(ValueError, match="overlap"):
             update(gp, overlap)
+
+    def test_new_data_without_trainable_cells_rejected(self, tables):
+        _, base, new = tables
+        gp = fit_gls(base, SQEXP, HP)
+        with pytest.warns(UserWarning, match="zero-death"):
+            dead = MortalityTable([MortalityCell(age=c.age, year=c.year, deaths=0.0, exposure=c.exposure) for c in new])
+        with pytest.raises(ValueError, match=f"new data has no trainable cells: all {len(new)} of its cells"):
+            update(gp, dead)
 
     def test_posterior_sd_never_increases(self, tables):
         _, base, new = tables
