@@ -46,6 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.special import ndtri
 
 from . import kernels, means
@@ -140,6 +141,18 @@ class _CholeskyWhitener:
         """A^-1 r."""
         return cho_solve((self.chol, True), r)
 
+    def log_lik_grad(self, alpha: np.ndarray, noise_diag: np.ndarray, parts) -> np.ndarray:
+        """½ (alpha^T dA alpha - tr(A^-1 dA)) for each n x n dA in ``parts``, then for dA = diag(noise_diag).
+
+        LAPACK potri overwrites the factor with A^-1, which spends the whitener;
+        the zero triangle stays zero, so tr(A^-1 dA) = 2 <tri, dA> - <diag, diag>.
+        """
+        inv = dpotri(self.chol, lower=1, overwrite_c=1)[0]  # cannot fail: the factor's diagonal is positive
+        self.chol = None
+        diag, tri = np.diagonal(inv), inv.T  # tri is C-ordered like dA
+        terms = [alpha @ (da @ alpha) - 2.0 * np.einsum("ij,ij->", tri, da) + diag @ np.diagonal(da) for da in parts]
+        return 0.5 * np.array([*terms, (alpha * alpha - diag) @ noise_diag])
+
 
 def _kron_matmul(a_yr: np.ndarray, a_ag: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(a_yr (x) a_ag) m for square factors and m with rows in (year, age) order."""
@@ -175,6 +188,17 @@ class _GridWhitener:
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A^-1 r = W^T W r."""
         return _kron_matmul(self.q_yr, self.q_ag, self.whiten(r) / self.sqrt_d[:, 0]).reshape(r.shape)
+
+    def log_lik_grad(self, alpha: np.ndarray, noise_diag: np.ndarray, parts) -> np.ndarray:
+        """½ (alpha^T dA alpha - tr(A^-1 dA)) for dA = t_yr (x) t_ag for each ``(t_ag, t_yr)`` in ``parts``, then
+        for dA = diag(noise_diag), with no n x n array: tr(A^-1 dA) = e_yr^T D^-1 e_ag for e = diag(Q^T t Q) (Saatci 2011).
+        """
+        m, inv_d = alpha.reshape(self.shape), 1.0 / self.d
+        terms = []
+        for t_ag, t_yr in parts:
+            e_yr, e_ag = (np.einsum("ij,ij->j", q, t @ q) for q, t in ((self.q_yr, t_yr), (self.q_ag, t_ag)))
+            terms.append(np.vdot(m, t_yr @ m @ t_ag) - e_yr @ inv_d @ e_ag)
+        return 0.5 * np.array([*terms, alpha * alpha @ noise_diag - noise_diag[0] * inv_d.sum()])  # constant noise on a grid
 
 
 @dataclass
@@ -250,7 +274,7 @@ class _Covariance:
         self.family = family
         self.axes = kernels._axes(x)
         self.shape = _grid_shape(self.axes)
-        self.buffer = None
+        self.buffer = self.grad_buffer = None
 
     def dense(self, hp: KernelHyperparams, noise_diag: np.ndarray) -> np.ndarray:
         """A, jitter included, gathered into the n x n buffer."""
@@ -273,6 +297,23 @@ class _Covariance:
         # a is exactly symmetric, so its transpose is the same matrix in
         # Fortran order, which LAPACK factorizes in place
         return _CholeskyWhitener(cholesky(a.T, lower=True, overwrite_a=True)), _jitter(hp, noise_diag)
+
+    def log_lik_grad(self, hp: KernelHyperparams, noise_diag: np.ndarray, whitener, alpha: np.ndarray) -> np.ndarray:
+        """Gradient of the profiled log-likelihood in log theta_ag, log theta_yr, log eta^2 and log scale of the noise.
+
+        ``whitener`` is this call's at ``hp`` (spent on the dense route), alpha =
+        A^-1 (y - H beta_hat); each entry is ½ (alpha^T dA alpha - tr(A^-1 dA))
+        (*GPML* eq. 5.9).  beta_hat maximizes the likelihood at fixed
+        hyperparameters, so its own change drops out (envelope theorem).  The
+        jitter, zero for positive noise, is not differentiated.
+        """
+        (k_ag, k_yr), (d_ag, d_yr) = (kernels._tables(self.family, hp, self.axes, self.axes, f, f) for f in (kernels._factor, kernels._dlog_factor))
+        parts = [(d_ag, k_yr), (k_ag, d_yr), (k_ag, k_yr)]
+        if isinstance(whitener, _GridWhitener):
+            return whitener.log_lik_grad(alpha, noise_diag, parts)
+        if self.grad_buffer is None:
+            self.grad_buffer = np.empty((alpha.size,) * 2)
+        return whitener.log_lik_grad(alpha, noise_diag, (kernels._gather(*p, self.axes, self.axes, out=self.grad_buffer) for p in parts))
 
 
 def _whiten(whitener, yh: np.ndarray):

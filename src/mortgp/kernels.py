@@ -8,9 +8,9 @@ from two small tables, the factor between the distinct ages and between the
 distinct years of the two input sets: C[i, j] = eta^2 K_ag[ia_i, ja_j]
 K_yr[iy_i, jy_j].  The squared-exponential additionally supports analytic
 first and second derivatives in the year coordinate, which replace the year
-table and drive the instantaneous mortality-improvement posterior.
-Derivative conventions are validated against central finite differences in
-the test suite.
+table and drive the instantaneous mortality-improvement posterior.  Both
+families give the factor's derivative in log theta, for the likelihood
+gradient.  Derivatives are checked against central differences in the tests.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ def _factor(family: KernelFamily, d, theta: float) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
+def _dlog_factor(family: KernelFamily, d, theta: float) -> np.ndarray:
+    """Derivative of ``_factor`` in log theta: k r^2 (squared-exponential), (5/3) r^2 (1 + sqrt5 r) exp(-sqrt5 r) (Matern-5/2)."""
+    r = np.abs(d) / theta
+    if family is KernelFamily.MATERN52:
+        return (5.0 / 3.0) * r * r * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    return _factor(family, d, theta) * r * r
+
+
 def _dfactor(family: KernelFamily, d, theta: float) -> np.ndarray:
     """Derivative of ``_factor`` at d = x - x' in x' (squared-exponential only)."""
     _require_differentiable(family)
@@ -84,11 +92,11 @@ def _axes(X) -> tuple:
     return tuple(np.unique(X[:, k], return_inverse=True) for k in (0, 1))
 
 
-def _tables(family: KernelFamily, hp: KernelHyperparams, axes, q_axes, year_factor=_factor):
-    """The age table, eta^2 included, and the ``year_factor`` year table between two ``_axes``."""
+def _tables(family: KernelFamily, hp: KernelHyperparams, axes, q_axes, year_factor=_factor, age_factor=_factor):
+    """The ``age_factor`` age table, eta^2 included, and the ``year_factor`` year table between two ``_axes``."""
     (ages, _), (years, _) = axes
     (q_ages, _), (q_years, _) = q_axes
-    k_ag = hp.eta_sq * _factor(family, ages[:, None] - q_ages, hp.theta_ag)
+    k_ag = hp.eta_sq * age_factor(family, ages[:, None] - q_ages, hp.theta_ag)
     return k_ag, year_factor(family, years[:, None] - q_years, hp.theta_yr)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,27 @@ def simulate_gp_table(ages, years, hp, seed, mean=-4.0, family=KernelFamily.SQUA
         for (a, yr), v in zip(x, y_obs)
     ]
     return MortalityTable(cells), x, y_obs
+
+
+def simulate_grid_table(ages, years, hp, seed, mean=-4.0):
+    """Draw a squared-exponential prior surface plus iid noise, as ``simulate_gp_table`` does, on a full grid.
+
+    The draw goes through square roots of the two 1-D kernel factors, which
+    are too small for the BLAS to split across threads, so the table is the
+    same whatever the thread count.
+    """
+    ages = np.asarray(ages, dtype=float)
+    years = np.asarray(years, dtype=float)
+
+    def sqrt_factor(points, theta):
+        w, v = np.linalg.eigh(np.exp(-0.5 * ((points[:, None] - points) / theta) ** 2))
+        return v * np.sqrt(np.clip(w, 0.0, None))
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((years.size, ages.size))
+    f = mean + math.sqrt(hp.eta_sq) * sqrt_factor(years, hp.theta_yr) @ z @ sqrt_factor(ages, hp.theta_ag).T
+    y_obs = f + math.sqrt(hp.sigma_sq) * rng.standard_normal(f.shape)
+    return table_from_surface(ages, years, lambda a, y: y_obs[years == y, ages == a][0], exposure=1e7)
 
 
 @pytest.fixture

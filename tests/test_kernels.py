@@ -211,6 +211,18 @@ class TestCovMatrix:
                 assert c[i, j] == pytest.approx(cov(SQEXP, HP, x[i], xs[j]), rel=1e-15)
 
 
+class TestLogLengthscaleDerivative:
+    @pytest.mark.parametrize("family", [SQEXP, MATERN])
+    def test_matches_finite_difference_in_log_theta(self, family):
+        rng = np.random.default_rng(16)
+        d = np.concatenate([[0.0], rng.uniform(-60.0, 60.0, 500)])
+        theta = rng.uniform(0.8, 30.0, d.size)
+        h = 1e-5
+        fd = (kernels._factor(family, d, theta * math.exp(h)) - kernels._factor(family, d, theta * math.exp(-h))) / (2 * h)
+        np.testing.assert_allclose(kernels._dlog_factor(family, d, theta), fd, rtol=1e-6, atol=1e-12)
+        assert kernels._dlog_factor(family, 0.0, 5.0) == 0.0
+
+
 class TestYearDerivatives:
     def test_zero_year_gap_kills_first_derivative(self):
         assert dcov_dyr(HP, (60.0, 2005.0), (75.0, 2005.0)) == 0.0
