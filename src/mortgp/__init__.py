@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .data import (
     MortalityCell,
     MortalityTable,
-    Standardizer,
     SubsetSpec,
     load_table,
-    make_standardizer,
     save_table,
     subset,
 )
@@ -50,10 +48,8 @@ from .updating import UpdateReport, update, update_report
 __all__ = [
     "MortalityCell",
     "MortalityTable",
-    "Standardizer",
     "SubsetSpec",
     "load_table",
-    "make_standardizer",
     "save_table",
     "subset",
     "GlmFit",

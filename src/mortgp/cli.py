@@ -182,7 +182,8 @@ def cmd_fit(args) -> int:
 
 def _write_posterior(out: Path, stem: str, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
     _write_csv(out / f"{stem}.csv", POSTERIOR_HEADER, _posterior_rows(xs, post, level))
-    (out / f"{stem}.json").write_text(json.dumps(post.to_dict(level), indent=2, sort_keys=True) + "\n")
+    # no indent: with one the stdlib falls back to its pure-Python encoder
+    (out / f"{stem}.json").write_text(json.dumps(post.to_dict(level), sort_keys=True) + "\n")
 
 
 def cmd_smooth(args) -> int:

@@ -1,4 +1,4 @@
-"""Mortality table ingestion, validation, subsetting, and input standardization.
+"""Mortality table ingestion, validation and subsetting.
 
 A mortality table is a collection of (age, year) cells, each carrying a death
 count and a mid-year population.  The response modeled downstream is the log
@@ -190,28 +190,6 @@ def subset(table: MortalityTable, spec: SubsetSpec) -> MortalityTable:
         return MortalityTable(kept, table.gender_label, table.source_label)
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Affine map taking raw (age, year) inputs to zero-mean, unit-sd coordinates."""
-
-    mean_ag: float
-    sd_ag: float
-    mean_yr: float
-    sd_yr: float
-
-    def __post_init__(self) -> None:
-        if self.sd_ag <= 0 or self.sd_yr <= 0:
-            raise ValueError("standard deviations must be strictly positive")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - [self.mean_ag, self.mean_yr]) / [self.sd_ag, self.sd_yr]
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z * [self.sd_ag, self.sd_yr] + [self.mean_ag, self.mean_yr]
-
-
 def _center_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sample (ddof 1) standard deviations of (N, 2) inputs.
 
@@ -220,15 +198,6 @@ def _center_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     center = x.mean(axis=0)
     scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
     return center, np.where(scale > 0, scale, 1.0)
-
-
-def make_standardizer(table: MortalityTable) -> Standardizer:
-    """Means and sample (n-1) standard deviations of the trainable cells' ages and years."""
-    x = table.inputs()
-    if np.unique(x[:, 0]).size < 2 or np.unique(x[:, 1]).size < 2:
-        raise ValueError("standardization needs at least 2 distinct ages and 2 distinct years")
-    (mean_ag, mean_yr), (sd_ag, sd_yr) = _center_scale(x)
-    return Standardizer(mean_ag=float(mean_ag), sd_ag=float(sd_ag), mean_yr=float(mean_yr), sd_yr=float(sd_yr))
 
 
 def _open_for(target, mode: str):

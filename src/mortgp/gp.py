@@ -237,12 +237,14 @@ class FittedGP:
         return means.basis_matrix(self.basis, z)
 
 
-def _design(basis: Optional[MeanBasis], z: np.ndarray) -> np.ndarray:
-    """Design matrix over (scaled) inputs, checked for full column rank."""
-    h = means.basis_matrix(basis, z)
+def _design(basis: Optional[MeanBasis], x: np.ndarray):
+    """``(h, center, scale)``: the design matrix over the raw inputs x rescaled by
+    ``_center_scale``, checked for full column rank, and that center and scale."""
+    center, scale = _center_scale(x)
+    h = means.basis_matrix(basis, (x - center) / scale)
     if h.shape[1] and np.linalg.matrix_rank(h) < h.shape[1]:
         raise ValueError("mean basis design matrix is rank deficient on these inputs")
-    return h
+    return h, center, scale
 
 
 def _grid_shape(axes) -> Optional[tuple[int, int]]:
@@ -379,8 +381,7 @@ def fit_gls_xy(
     if n < p:
         raise ValueError(f"need at least {p} observations to fit a {p}-dimensional mean basis, got {n}")
 
-    center, scale = _center_scale(x)
-    h_scaled = _design(basis, (x - center) / scale)
+    h_scaled, center, scale = _design(basis, x)
     cov = _Covariance(family, x)
     try:
         whitener, jitter = cov(hp, noise_diag)

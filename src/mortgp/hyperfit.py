@@ -3,8 +3,10 @@
 The profiled log marginal likelihood (trend coefficients solved by GLS at
 every evaluation) of the chosen kernel family, squared-exponential or
 Matern-5/2, is maximized over log hyperparameters in a box by multi-start
-L-BFGS-B with the analytic gradient.  Inputs are standardized internally so
-the optimizer sees O(1) lengthscales; estimates map back to raw units.
+L-BFGS-B with the analytic gradient.  The search runs over the log
+lengthscales of the raw (age, year) inputs, in years: in log space a change of
+input units only shifts the search, and the kernel and the rescaled trend
+basis are already free of where the inputs sit.
 
 Each evaluation factorizes through ``gp._Covariance``, the same rule
 ``gp.fit_gls`` follows: the grid (Kronecker) whitener when the trainable cells
@@ -27,7 +29,7 @@ from scipy.optimize import minimize
 
 from . import gp as gp_mod
 from . import means
-from .data import MortalityTable, make_standardizer
+from .data import MortalityTable
 from .gp import FittedGP
 from .kernels import ConstantNoise, DeltaMethodNoise, KernelFamily, KernelHyperparams, noise_diagonal
 from .means import MeanBasis
@@ -39,7 +41,9 @@ _BOUND_EPS = 1e-3
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer configuration; bounds are in raw input/output units.
+    """Optimizer configuration; bounds are in raw input/output units, lengthscales in years.
+
+    The optimizer searches the box of log hyperparameters these bounds span.
 
     L-BFGS-B ends a restart at ``ftol = 1e-2 * tol`` (relative decrease of -log L)
     or ``gtol = 0.1 * xatol`` (largest projected-gradient entry, nat per log
@@ -71,6 +75,7 @@ class RestartRecord:
     log_likelihood: float
     success: bool
     evaluations: int  # objective evaluations the optimizer made
+    failed_evaluations: int  # evaluations where A or the GLS was singular
     iterations: int  # optimizer iterations
     message: str  # the optimizer's exit message
     seconds: float  # wall time of the restart
@@ -83,7 +88,7 @@ class FitResult:
     beta: np.ndarray
     log_likelihood: float
     restart_trace: list[RestartRecord]
-    converged: bool  # the optimizer reported success for the best restart
+    converged: bool  # the best restart succeeded: the optimizer reported success and no evaluation failed
     bound_hit: bool  # the best estimate lies on a bound of the search box
     family: KernelFamily
     basis: Optional[MeanBasis]
@@ -92,21 +97,24 @@ class FitResult:
 
 
 class _ProfiledLikelihood:
-    """Profiled log marginal likelihood of either kernel family over standardized inputs.
+    """Profiled log marginal likelihood of either kernel family over raw (age, year) inputs.
 
-    A thin user of ``gp``: one ``gp._Covariance`` per fit (``cov``) factorizes
-    A at each evaluation, keeping the distinct inputs and, from the first
-    dense evaluation on, its n x n buffers; ``gp._whiten`` and
-    ``gp._profiled_gls`` give the value, as in ``gp.fit_gls_xy``, and
-    ``cov.log_lik_grad`` the gradient.  A singular A or GLS gives -inf.
+    A thin user of ``gp``, building the same arrays as ``gp.fit_gls_xy`` at
+    the same hyperparameters: the rescaled design of ``gp._design``, and one
+    ``gp._Covariance`` per fit (``cov``) that factorizes A at each evaluation,
+    keeping the distinct inputs and, from the first dense evaluation on, its
+    n x n buffers; ``gp._whiten`` and ``gp._profiled_gls`` give the value and
+    ``cov.log_lik_grad`` the gradient.  A singular A or GLS gives -inf and
+    counts in ``failures``.
     """
 
-    def __init__(self, family, x_std, y, basis, fixed_noise_diag):
-        self.h = gp_mod._design(basis, x_std)
+    def __init__(self, family, x, y, basis, fixed_noise_diag):
+        self.h = gp_mod._design(basis, x)[0]
         self.yh = np.column_stack([y, self.h])
         self.estimate_sigma = fixed_noise_diag is None  # constant noise, the last parameter
         self.noise_diag = np.empty(y.size) if self.estimate_sigma else fixed_noise_diag
-        self.cov = gp_mod._Covariance(family, x_std)
+        self.cov = gp_mod._Covariance(family, x)
+        self.failures = 0
 
     def loglik(self, params: np.ndarray, grad: bool = False):
         """The log-likelihood at params, -inf where A or the GLS is singular; with ``grad``, and its gradient (0 there)."""
@@ -118,6 +126,7 @@ class _ProfiledLikelihood:
             whitener, _ = self.cov(hp, self.noise_diag)
             _, beta, value = gp_mod._profiled_gls(*gp_mod._whiten(whitener, self.yh))
         except (np.linalg.LinAlgError, ValueError):
+            self.failures += 1
             return (float("-inf"), np.zeros(params.size)) if grad else float("-inf")
         if not grad:
             return value
@@ -130,15 +139,14 @@ class _ProfiledLikelihood:
         return -value, -grad
 
 
-def _heuristic_start(x_std, y, h, estimate_sigma, log_bounds):
-    theta0 = [max(0.5 * np.ptp(x_std[:, 0]), 1e-3), max(0.5 * np.ptp(x_std[:, 1]), 1e-3)]
+def _heuristic_start(x, y, h, estimate_sigma, log_bounds):
     if h.shape[1]:
         coef, *_ = np.linalg.lstsq(h, y, rcond=None)
         detrended = y - h @ coef
     else:
         detrended = y
     eta0 = max(float(np.var(detrended)), 1e-8)
-    start = [math.log(theta0[0]), math.log(theta0[1]), math.log(eta0)]
+    start = [*np.log(0.5 * np.ptp(x, axis=0)), math.log(eta0)]
     if estimate_sigma:
         start.append(math.log(1e-2 * eta0))
     return np.clip(start, log_bounds[:, 0], log_bounds[:, 1])
@@ -158,13 +166,12 @@ def fit_mle(
     counts and only the three kernel parameters are optimized.
     """
     p = means.basis_dim(basis)
-    x_raw = table.inputs()
+    x = table.inputs()
     y = table.responses()
-    if x_raw.shape[0] < p + 2:
-        raise ValueError(f"need at least {p + 2} trainable cells, got {x_raw.shape[0]}")
-    std = make_standardizer(table)
-    x_std = std.apply(x_raw)
-    sd = np.array([std.sd_ag, std.sd_yr])
+    if x.shape[0] < p + 2:
+        raise ValueError(f"need at least {p + 2} trainable cells, got {x.shape[0]}")
+    if np.unique(x[:, 0]).size < 2 or np.unique(x[:, 1]).size < 2:
+        raise ValueError("fit_mle needs at least 2 distinct ages and 2 distinct years")
 
     if isinstance(noise, str):
         if noise != "constant":
@@ -175,48 +182,34 @@ def fit_mle(
     else:
         raise TypeError(f"noise must be 'constant' or DeltaMethodNoise, got {type(noise).__name__}")
 
-    obj = _ProfiledLikelihood(family, x_std, y, basis, fixed_diag)
+    obj = _ProfiledLikelihood(family, x, y, basis, fixed_diag)
     estimate_sigma = obj.estimate_sigma
-
-    # bounds in log space; theta bounds are per-coordinate images of the raw box
-    rows = [
-        (config.theta_bounds[0] / sd[0], config.theta_bounds[1] / sd[0]),
-        (config.theta_bounds[0] / sd[1], config.theta_bounds[1] / sd[1]),
-        config.eta_sq_bounds,
-    ]
-    if estimate_sigma:
-        rows.append(config.sigma_sq_bounds)
-    log_bounds = np.log(np.array(rows))
+    names = ["theta_ag", "theta_yr", "eta_sq", "sigma_sq"][: 3 + estimate_sigma]
+    bounds = [config.theta_bounds, config.theta_bounds, config.eta_sq_bounds, config.sigma_sq_bounds]
+    log_bounds = np.log(np.array(bounds[: len(names)]))
 
     rng = np.random.default_rng(config.seed)
-    starts = [_heuristic_start(x_std, y, obj.h, estimate_sigma, log_bounds)]
-    for _ in range(config.n_restarts - 1):
-        starts.append(rng.uniform(log_bounds[:, 0], log_bounds[:, 1]))
+    starts = [_heuristic_start(x, y, obj.h, estimate_sigma, log_bounds)]
+    starts += [rng.uniform(log_bounds[:, 0], log_bounds[:, 1]) for _ in range(config.n_restarts - 1)]
 
     options = {"ftol": 1e-2 * config.tol, "gtol": 0.1 * config.xatol}
     if config.max_iter is not None:
         options["maxiter"] = config.max_iter
 
-    def raw_params(v: np.ndarray) -> dict:
-        out = {
-            "theta_ag": math.exp(v[0]) * sd[0],
-            "theta_yr": math.exp(v[1]) * sd[1],
-            "eta_sq": math.exp(v[2]),
-        }
-        if estimate_sigma:
-            out["sigma_sq"] = math.exp(v[3])
-        return out
+    def params(v: np.ndarray) -> dict:
+        return {name: math.exp(value) for name, value in zip(names, v)}
 
     trace = []
     for start in starts:
-        t0 = time.perf_counter()
+        t0, failures = time.perf_counter(), obj.failures
         res = minimize(obj, start, jac=True, method="L-BFGS-B", bounds=log_bounds, options=options)
-        # a start that never factorizes has a zero gradient, which is no convergence
-        finite = bool(np.isfinite(res.fun))
+        # a singular point has value inf and gradient 0; L-BFGS-B does not step back from
+        # it in a line search and may report success at a point that is no optimum
+        failed = obj.failures - failures
         trace.append(
             RestartRecord(
-                raw_params(start), raw_params(res.x), float(-res.fun) if finite else float("-inf"),
-                success=bool(res.success) and finite, evaluations=int(res.nfev), iterations=int(res.nit),
+                params(start), params(res.x), float(-res.fun), success=bool(res.success) and not failed,
+                evaluations=int(res.nfev), failed_evaluations=failed, iterations=int(res.nit),
                 message=str(res.message), seconds=time.perf_counter() - t0,
                 bound_hit=bool(np.any(np.abs(res.x - log_bounds.T) < _BOUND_EPS)),
             )
@@ -228,14 +221,8 @@ def fit_mle(
     if best.bound_hit:
         warnings.warn("optimizer stopped at a hyperparameter bound; estimates may be degenerate", stacklevel=2)
 
-    est = best.end
-    if estimate_sigma:
-        hp = KernelHyperparams(est["theta_ag"], est["theta_yr"], est["eta_sq"], est["sigma_sq"])
-        noise_model = ConstantNoise(est["sigma_sq"])
-    else:
-        hp = KernelHyperparams(est["theta_ag"], est["theta_yr"], est["eta_sq"], 0.0)
-        noise_model = noise
-
+    hp = KernelHyperparams(**best.end)  # sigma_sq 0 when the noise is fixed
+    noise_model = ConstantNoise(hp.sigma_sq) if estimate_sigma else noise
     model = gp_mod.fit_gls(table, family, hp, noise=noise_model, basis=basis)
     return FitResult(
         hp=hp,

@@ -26,6 +26,9 @@ from .data import MortalityTable
 
 SQRT5 = math.sqrt(5.0)
 
+# rows of the year factor that ``_gather`` multiplies in at a time
+_GATHER_ROWS = 256
+
 
 class KernelFamily(enum.Enum):
     SQUARED_EXPONENTIAL = "squared_exponential"
@@ -106,7 +109,9 @@ def _gather(t_ag: np.ndarray, t_yr: np.ndarray, axes, q_axes, out=None) -> np.nd
     (_, ia), (_, iy) = axes
     (_, ja), (_, jy) = q_axes
     out = np.take(t_ag[:, ja], ia, axis=0, out=out, mode="clip")
-    out *= np.take(t_yr[:, jy], iy, axis=0, mode="clip")
+    t_yr = t_yr[:, jy]
+    for lo in range(0, iy.size, _GATHER_ROWS):  # row blocks keep the year factor's temporary small
+        out[lo : lo + _GATHER_ROWS] *= t_yr[iy[lo : lo + _GATHER_ROWS]]
     return out
 
 

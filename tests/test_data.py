@@ -9,7 +9,6 @@ from mortgp import (
     MortalityTable,
     SubsetSpec,
     load_table,
-    make_standardizer,
     save_table,
     subset,
 )
@@ -198,25 +197,3 @@ class TestSubset:
     def test_parse_round_trip(self):
         spec = SubsetSpec.parse("1999-2010:50-84,2011-2014:50-70")
         assert spec == SUBSET_PRESETS["subset2"]
-
-
-class TestStandardizer:
-    def test_full_age_range_moments(self):
-        table = make_grid([2000, 2001], range(50, 85))
-        std = make_standardizer(table)
-        ages = [a for _ in (2000, 2001) for a in range(50, 85)]
-        mean = sum(ages) / len(ages)
-        sd = math.sqrt(sum((a - mean) ** 2 for a in ages) / (len(ages) - 1))
-        assert std.mean_ag == pytest.approx(67.0, abs=1e-12)
-        assert std.sd_ag == pytest.approx(sd, rel=1e-12)
-
-    def test_single_year_table_errors(self):
-        table = make_grid([2000], range(50, 85))
-        with pytest.raises(ValueError, match="distinct"):
-            make_standardizer(table)
-
-    def test_apply_invert_round_trip(self):
-        table = make_grid(range(1999, 2015), range(50, 85))
-        std = make_standardizer(table)
-        x = table.inputs()
-        np.testing.assert_allclose(std.invert(std.apply(x)), x, atol=1e-12)

@@ -591,7 +591,7 @@ class TestWhitenerRoute:
         models = []
         held, peak = traced_memory(lambda: models.append(fit_gls_xy(x, y, family, self.HP, basis=MeanBasis.QUADRATIC_AGE)))
         assert not is_grid(models[0])
-        assert peak <= 2.25 * n_by_n
+        assert peak <= 1.5 * n_by_n
         assert held <= 1.05 * n_by_n
 
     def test_model_json_stays_schema_1(self, table):
