@@ -16,7 +16,6 @@ from .gp import (
     FactorizationError,
     FittedGP,
     PosteriorSummary,
-    ResidualDiagnostics,
     fit_gls,
     fit_gls_xy,
     log_marginal_likelihood,
@@ -24,7 +23,6 @@ from .gp import (
     predict,
     predict_observation,
     predict_year_derivative,
-    residuals,
     sample_paths,
 )
 from .hyperfit import FitConfig, FitResult, fit_mle
@@ -58,7 +56,6 @@ __all__ = [
     "FactorizationError",
     "FittedGP",
     "PosteriorSummary",
-    "ResidualDiagnostics",
     "fit_gls",
     "fit_gls_xy",
     "log_marginal_likelihood",
@@ -66,7 +63,6 @@ __all__ = [
     "predict",
     "predict_observation",
     "predict_year_derivative",
-    "residuals",
     "sample_paths",
     "FitConfig",
     "FitResult",

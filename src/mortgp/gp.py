@@ -35,6 +35,13 @@ Basis coefficients are solved in internally rescaled input coordinates (the
 raw design matrix for a quadratic-age trend over calendar years is too ill
 conditioned for float64 normal equations) and mapped back to the raw scale
 exactly; see ``means.basis_change_matrix``.
+
+scipy is imported only where it is used, so that loading a full-grid model
+and querying it loads no scipy: ``scipy.linalg`` at the first dense
+factorization (``_Covariance``, ``_CholeskyWhitener``), which keeps every
+n x n solve on LAPACK's triangular routines.  The p x p GLS normal matrix
+(p <= 4) is factorized with ``numpy.linalg`` and credible quantiles come from
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -42,12 +49,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
-from scipy.special import ndtri
 
 from . import kernels, means
 from .data import MortalityTable, _center_scale
@@ -63,6 +68,11 @@ JITTER_SCALE = 1e-10
 # Negative variances inside this tolerance are treated as roundoff and clamped
 # to zero; anything below it indicates a logic error and raises.
 VARIANCE_TOL = 1e-10
+
+# A pivot of the GLS normal matrix's Cholesky factor at or below this share of
+# its column's squared norm is roundoff: that whitened basis column lies in the
+# span of the earlier ones.  LAPACK potrf passes such a matrix about one time in three.
+GLS_PIVOT_TOL = 1e-12
 
 
 class FactorizationError(RuntimeError):
@@ -80,7 +90,7 @@ def _clamp_variance(var: np.ndarray, tol: float = VARIANCE_TOL) -> np.ndarray:
 def _quantile_z(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError(f"credible level must be in (0, 1), got {level}")
-    return float(ndtri(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 @dataclass
@@ -135,10 +145,14 @@ class _CholeskyWhitener:
         self.half_logdet = np.log(np.diag(chol)).sum()
 
     def whiten(self, m: np.ndarray) -> np.ndarray:
+        from scipy.linalg import solve_triangular
+
         return solve_triangular(self.chol, m, lower=True)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A^-1 r."""
+        from scipy.linalg import cho_solve
+
         return cho_solve((self.chol, True), r)
 
     def log_lik_grad(self, alpha: np.ndarray, noise_diag: np.ndarray, parts) -> np.ndarray:
@@ -147,6 +161,8 @@ class _CholeskyWhitener:
         LAPACK potri overwrites the factor with A^-1, which spends the whitener;
         the zero triangle stays zero, so tr(A^-1 dA) = 2 <tri, dA> - <diag, diag>.
         """
+        from scipy.linalg.lapack import dpotri
+
         inv = dpotri(self.chol, lower=1, overwrite_c=1)[0]  # cannot fail: the factor's diagonal is positive
         self.chol = None
         diag, tri = np.diagonal(inv), inv.T  # tri is C-ordered like dA
@@ -223,7 +239,7 @@ class FittedGP:
     alpha: np.ndarray = field(repr=False)
     beta_scaled: np.ndarray = field(repr=False)
     H_white: np.ndarray = field(repr=False)
-    G_cho: Optional[tuple] = field(repr=False)
+    G_cho: Optional[np.ndarray] = field(repr=False)  # lower Cholesky factor of the GLS normal matrix
     basis_center: np.ndarray = field(repr=False)
     basis_scale: np.ndarray = field(repr=False)
     log_likelihood: float = float("nan")
@@ -295,6 +311,8 @@ class _Covariance:
                 return _GridWhitener(k_yr, k_ag, lo), 0.0
             except np.linalg.LinAlgError:
                 pass  # roundoff eigenvalues at or below zero: the dense factorization decides
+        from scipy.linalg import cholesky
+
         a = self.dense(hp, noise_diag)
         # a is exactly symmetric, so its transpose is the same matrix in
         # Fortran order, which LAPACK factorizes in place
@@ -332,15 +350,19 @@ def _profiled_gls(y_white: np.ndarray, h_white: np.ndarray, half_logdet: float):
 
     ``y_white`` and ``h_white`` are the responses and the (scaled) design
     matrix whitened by any square root of the kernel-plus-noise matrix A, and
-    ``half_logdet`` is ½ log|A|.  Returns ``(g_cho, beta_scaled, log_lik)``.
-    Raises ``ValueError`` when the GLS normal equations are singular.
+    ``half_logdet`` is ½ log|A|.  Returns ``(g_cho, beta_scaled, log_lik)``
+    with g_cho the lower Cholesky factor of G = h_white^T h_white.  Raises
+    ``ValueError`` when the GLS normal equations are singular.
     """
     if h_white.shape[1]:
+        g = h_white.T @ h_white
         try:
-            g_cho = cho_factor(h_white.T @ h_white, lower=True)
+            g_cho = np.linalg.cholesky(g)
+            if np.any(np.diagonal(g_cho) ** 2 <= GLS_PIVOT_TOL * np.diagonal(g)):
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise ValueError("GLS normal equations are singular; basis columns are collinear") from None
-        beta_scaled = cho_solve(g_cho, h_white.T @ y_white)
+        beta_scaled = np.linalg.solve(g_cho.T, np.linalg.solve(g_cho, h_white.T @ y_white))
         resid_white = y_white - h_white @ beta_scaled
     else:
         g_cho, beta_scaled, resid_white = None, np.empty(0), y_white
@@ -472,8 +494,9 @@ def _condition(gp: FittedGP, c, hs: np.ndarray, prior_var, prior_cov: Optional[n
     returns it: (n, M), or its grid factors.  ``hs`` is their (M, p) values on
     the scaled basis and ``prior_var`` their prior variances.  Returns
     ``(mean, var, cov)``; with v = W c, u = hs^T - H_white^T v and G the GLS
-    normal matrix, the posterior covariance is prior - v^T v + u^T G^-1 u,
-    and ``cov`` is it when the (M, M) ``prior_cov`` is given, else None.
+    normal matrix, the posterior covariance is prior - v^T v + w^T w with
+    w = L^-1 u for G = L L^T, and ``cov`` is it when the (M, M) ``prior_cov``
+    is given, else None.
     """
     want_cov = prior_cov is not None
     h_white = gp.H_white if gp.basis is not None else None
@@ -490,11 +513,10 @@ def _condition(gp: FittedGP, c, hs: np.ndarray, prior_var, prior_cov: Optional[n
     cov = prior_cov - vtv if want_cov else None
     if gp.basis is not None:
         mean = mean + hs @ gp.beta_scaled
-        u = hs.T - hv
-        gu = cho_solve(gp.G_cho, u)
-        var = var + np.einsum("ij,ij->j", u, gu)
+        w = np.linalg.solve(gp.G_cho, hs.T - hv)
+        var = var + np.einsum("ij,ij->j", w, w)
         if want_cov:
-            cov = cov + u.T @ gu
+            cov = cov + w.T @ w
     if want_cov:
         cov = 0.5 * (cov + cov.T)
     return mean, var, cov
@@ -543,25 +565,6 @@ def sample_paths(gp: FittedGP, x_star, n_paths: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, n_paths))
     return (post.mean[:, None] + factor @ z).T
-
-
-@dataclass
-class ResidualDiagnostics:
-    """Training residuals plus normal Q-Q pairs for external plotting."""
-
-    residuals: np.ndarray
-    qq_theoretical: np.ndarray
-    qq_empirical: np.ndarray
-
-
-def residuals(gp: FittedGP) -> ResidualDiagnostics:
-    """In-sample residuals y - m_*(x) and their normal quantile pairs."""
-    post = predict(gp, gp.x)
-    res = gp.y - post.mean
-    n = res.size
-    empirical = np.sort(res)
-    theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    return ResidualDiagnostics(residuals=res, qq_theoretical=theoretical, qq_empirical=empirical)
 
 
 def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:

@@ -14,18 +14,25 @@ fill an age x year grid and the noise is constant and positive, the dense
 Cholesky otherwise.  The reported log-likelihood comes from ``gp.fit_gls`` at
 the best point.  Restarts run one after another; results are deterministic
 for a given config and seed.
+
+``scipy.optimize`` loads on first use, not at import, so that commands which
+never fit (and ``import mortgp``) load no scipy: the module ``__getattr__``
+imports ``minimize`` and caches it as a module global, which callers may read
+and replace (``hyperfit.minimize``).  ``fit_mle`` looks it up as a module
+attribute, because a module ``__getattr__`` does not serve the module's own
+global-name lookups.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import gp as gp_mod
 from . import means
@@ -37,6 +44,16 @@ from .means import MeanBasis
 # log-space proximity at which an estimate counts as pinned to its bound; L-BFGS-B
 # projects onto the box exactly, so the margin only adds optima within 0.1 % of one
 _BOUND_EPS = 1e-3
+
+
+def __getattr__(name: str):
+    """``minimize``: scipy's, imported on first use and cached as a module global (PEP 562)."""
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    globals()["minimize"] = minimize
+    return minimize
 
 
 @dataclass(frozen=True)
@@ -199,6 +216,7 @@ def fit_mle(
     def params(v: np.ndarray) -> dict:
         return {name: math.exp(value) for name, value in zip(names, v)}
 
+    minimize = sys.modules[__name__].minimize  # a bare name would not reach __getattr__
     trace = []
     for start in starts:
         t0, failures = time.perf_counter(), obj.failures

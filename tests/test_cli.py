@@ -369,8 +369,64 @@ class TestErrors:
         assert len(table) == 35 * 16
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, mortgp.cli; print('scipy.stats' in sys.modules)"
+# Runs in a fresh interpreter: imports mortgp, then mortgp.cli, then calls
+# mortgp.cli.main on each argv of the JSON {label: argv} in argv[1]; prints,
+# as JSON, the scipy modules loaded after each step.
+SCIPY_PROBE = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import mortgp
+steps = [["import mortgp", loaded()]]
+import mortgp.cli
+steps.append(["import mortgp.cli", loaded()])
+for label, argv in json.loads(sys.argv[1]).items():
+    assert mortgp.cli.main(argv) == 0, argv
+    steps.append([label, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def scipy_modules_by_step(argvs: dict) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(mortgp.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    cmd = [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
+    return dict(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def grid_model_files(tmp_path_factory):
+    """A full-grid model (grid whitener), its data and a full next year of new cells."""
+    root = tmp_path_factory.mktemp("grid_model")
+
+    def f(age, year):
+        return -9.0 + 0.08 * age - 0.01 * (year - 2005) + 0.02 * np.sin(0.6 * age)
+
+    table = table_from_surface(range(60, 70), range(2005, 2015), f)
+    table.save(root / "data.csv")
+    table_from_surface(range(60, 70), [2015], f).save(root / "new.csv")
+    hp = KernelHyperparams(theta_ag=8.0, theta_yr=8.0, eta_sq=0.5, sigma_sq=1e-4)
+    save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
+    assert isinstance(load_model(root / "model.json").whitener, gp_mod._GridWhitener)
+    return root
+
+
+def test_cli_import_leaves_out_scipy_stats(grid_model_files, tmp_path):
+    # no scipy at import, nor on any downstream command over a full-grid model
+    model, new, out = str(grid_model_files / "model.json"), str(grid_model_files / "new.csv"), str(tmp_path)
+    argvs = {
+        "smooth": ["smooth", "--model", model, "--out", out],
+        "forecast": ["forecast", "--model", model, "--years", "2015-2016", "--ages", "60-69", "--out", out],
+        **{f"improve {kind}": ["improve", "--model", model, "--kind", kind, "--year", "2014", "--out", out] for kind in ("back", "diff", "centered")},
+        "sample": ["sample", "--model", model, "--year", "2015", "--ages", "60-69", "--out", out],
+        "update": ["update", "--model", model, "--new-data", new, "--out", out],
+    }
+    steps = scipy_modules_by_step(argvs)
+    assert list(steps) == ["import mortgp", "import mortgp.cli", *argvs]
+    assert steps == {step: [] for step in steps}
+
+
+def test_cli_fit_loads_scipy_optimize(grid_model_files, tmp_path):
+    # the lazy route is taken: fit is what loads the optimizer
+    steps = scipy_modules_by_step({"fit": ["fit", "--data", str(grid_model_files / "data.csv"), "--restarts", "1", "--out", str(tmp_path)]})
+    assert steps["import mortgp.cli"] == []
+    assert "scipy.optimize" in steps["fit"]

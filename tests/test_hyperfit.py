@@ -301,6 +301,37 @@ class TestLikelihoodSurface:
         assert np.all(np.diff(values[peak:]) < 0)
 
 
+class TestLazyMinimize:
+    """scipy.optimize loads at the first lookup of ``hyperfit.minimize``, not at import."""
+
+    def test_first_lookup_is_scipy_minimize(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.delitem(vars(hyperfit), "minimize", raising=False)
+        assert getattr(hyperfit, "minimize") is scipy.optimize.minimize
+        assert vars(hyperfit)["minimize"] is scipy.optimize.minimize  # cached as a module global
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            hyperfit.no_such_name
+
+    def test_fit_mle_calls_the_module_attribute(self, monkeypatch, sim_table):
+        import scipy.optimize
+
+        starts = []
+
+        def recording_minimize(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return scipy.optimize.minimize(fun, x0, **kwargs)
+
+        monkeypatch.delitem(vars(hyperfit), "minimize", raising=False)
+        monkeypatch.setattr(hyperfit, "minimize", recording_minimize, raising=False)
+        result = fit_mle(sim_table, config=quick_config(n_restarts=2))
+        assert len(starts) == len(result.restart_trace) == 2
+        for x0, rec in zip(starts, result.restart_trace):
+            np.testing.assert_allclose(np.exp(x0), list(rec.start.values()), rtol=1e-12)
+
+
 class _Captured(Exception):
     pass
 
