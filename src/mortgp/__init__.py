@@ -39,7 +39,7 @@ from .kernels import (
     dcov_dyr,
     noise_diagonal,
 )
-from .means import MeanBasis, basis_matrix, eval_basis, eval_mean
+from .means import MeanBasis, basis_matrix
 from .serialize import load_model, save_model
 from .updating import UpdateReport, update, update_report
 
@@ -84,8 +84,6 @@ __all__ = [
     "noise_diagonal",
     "MeanBasis",
     "basis_matrix",
-    "eval_basis",
-    "eval_mean",
     "load_model",
     "save_model",
     "UpdateReport",

@@ -10,10 +10,14 @@ basis are already free of where the inputs sit.
 
 Each evaluation factorizes through ``gp._Covariance``, the same rule
 ``gp.fit_gls`` follows: the grid (Kronecker) whitener when the trainable cells
-fill an age x year grid and the noise is constant and positive, the dense
-Cholesky otherwise.  The reported log-likelihood comes from ``gp.fit_gls`` at
-the best point.  Restarts run one after another; results are deterministic
-for a given config and seed.
+fill an age x year grid, or miss at most m <= n / 4 of its cells (the
+``subset2`` notch, zero-death holes; an exact missing-cell correction, whose
+gradient subtracts tr(V^T dA V) over the m missing cells), and the noise is
+constant and positive; the dense Cholesky otherwise, and when the grid
+factorization fails.  On ``subset2`` (n = 504, m = 56) an evaluation with its
+gradient takes about 3 ms against about 18 ms dense.  The reported
+log-likelihood comes from ``gp.fit_gls`` at the best point.  Restarts run one
+after another; results are deterministic for a given config and seed.
 
 ``scipy.optimize`` loads on first use, not at import, so that commands which
 never fit (and ``import mortgp``) load no scipy: the module ``__getattr__``
@@ -120,9 +124,9 @@ class _ProfiledLikelihood:
     the same hyperparameters: the rescaled design of ``gp._design``, and one
     ``gp._Covariance`` per fit (``cov``) that factorizes A at each evaluation,
     keeping the distinct inputs and, from the first dense evaluation on, its
-    n x n buffers; ``gp._whiten`` and ``gp._profiled_gls`` give the value and
-    ``cov.log_lik_grad`` the gradient.  A singular A or GLS gives -inf and
-    counts in ``failures``.
+    n x n buffers; the whitener's ``whiten`` and ``half_logdet`` and
+    ``gp._profiled_gls`` give the value and ``cov.log_lik_grad`` the gradient.
+    A singular A or GLS gives -inf and counts in ``failures``.
     """
 
     def __init__(self, family, x, y, basis, fixed_noise_diag):
@@ -141,7 +145,7 @@ class _ProfiledLikelihood:
             self.noise_diag.fill(math.exp(params[3]))
         try:
             whitener, _ = self.cov(hp, self.noise_diag)
-            _, beta, value = gp_mod._profiled_gls(*gp_mod._whiten(whitener, self.yh))
+            _, beta, value = gp_mod._profiled_gls(whitener.whiten(self.yh), whitener.half_logdet, self.h.shape[0])
         except (np.linalg.LinAlgError, ValueError):
             self.failures += 1
             return (float("-inf"), np.zeros(params.size)) if grad else float("-inf")

@@ -26,11 +26,6 @@ def basis_dim(basis: MeanBasis | None) -> int:
     return {MeanBasis.INTERCEPT: 1, MeanBasis.LINEAR: 3, MeanBasis.QUADRATIC_AGE: 4}[basis]
 
 
-def eval_basis(basis: MeanBasis, x) -> np.ndarray:
-    """Row vector h(x) for a single (age, year) input."""
-    return basis_matrix(basis, np.asarray(x, dtype=float).reshape(1, 2))[0]
-
-
 def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:
     """(N, p) design matrix; p = 0 when no basis is given (zero prior mean)."""
     X = np.asarray(X, dtype=float).reshape(-1, 2)
@@ -46,15 +41,6 @@ def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:
     if basis is MeanBasis.QUADRATIC_AGE:
         return np.column_stack([ones, ag, yr, ag * ag])
     raise ValueError(f"unknown mean basis {basis!r}")
-
-
-def eval_mean(basis: MeanBasis, coeffs, x) -> float:
-    """Prior mean h(x) . beta at one input."""
-    beta = np.asarray(coeffs, dtype=float).ravel()
-    h = eval_basis(basis, x)
-    if beta.size != h.size:
-        raise ValueError(f"coefficient length {beta.size} does not match basis dimension {h.size}")
-    return float(h @ beta)
 
 
 def dbasis_dyr(basis: MeanBasis | None) -> np.ndarray:

@@ -1,13 +1,16 @@
 """JSON round-trip for fitted models.
 
 The file stores the training arrays, kernel hyperparameters, noise model,
-basis choice, and fitted coefficients under an explicit schema version.
-Loading refits through ``gp.fit_gls_xy``, which picks the whitener the
-original fit used: on a full grid with constant noise, two small
-eigendecompositions and no n x n array; otherwise the dense Cholesky factor.
-So a loaded model reproduces the original's predictions exactly, and a file
-written by a dense-only build (also schema 1) loads with the grid whitener and
-predicts within 1e-10 of what that build predicted.
+basis choice, and fitted coefficients under an explicit schema version, as
+one line of JSON with sorted keys (schema 1; earlier builds indented it, and
+both load alike).  Loading refits through ``gp.fit_gls_xy``, which picks the
+whitener the original fit used: on a grid with constant noise, full or missing
+at most a quarter of n cells (a ``subset2`` model, zero-death holes), two small
+eigendecompositions and, with holes, an m x m factor, and no n x n array;
+otherwise the dense Cholesky factor.  So a loaded model reproduces the
+original's predictions exactly, and a file written by a dense-only build (also
+schema 1) loads with the grid whitener and predicts within 1e-10 of what that
+build predicted.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ def model_from_dict(obj: dict) -> FittedGP:
 
 
 def save_model(gp: FittedGP, target: Union[str, Path, IO[str]]) -> None:
-    payload = json.dumps(model_to_dict(gp), indent=2, sort_keys=True)
+    """Write the model as one line of JSON with sorted keys: without ``indent`` the stdlib uses its C encoder."""
+    payload = json.dumps(model_to_dict(gp), sort_keys=True)
     if isinstance(target, (str, Path)):
         Path(target).write_text(payload + "\n")
     else:

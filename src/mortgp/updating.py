@@ -4,7 +4,8 @@ Hyperparameters are reused unchanged; the trend coefficients and the
 covariance factorization are recomputed over the augmented data, so an update
 is numerically identical to refitting from scratch with the same kernel.
 Appending a full calendar year to a full grid keeps it a grid, so the refit
-takes the grid whitener (see ``gp``).
+takes the grid whitener (see ``gp``); a partial year leaves holes, which the
+grid whitener takes while they are at most a quarter of n cells.
 """
 
 from __future__ import annotations

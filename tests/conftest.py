@@ -89,3 +89,20 @@ def small_table():
         return -4.5 + 0.08 * (age - 60) - 0.012 * (year - 2000) + 0.01 * rng.standard_normal()
 
     return table_from_surface(range(60, 70), range(2000, 2010), f)
+
+
+def simulate_masked_table(ages, years, hp, seed, drop):
+    """``simulate_grid_table`` without the cells where ``drop(age, year)`` holds: a grid with holes."""
+    return MortalityTable([c for c in simulate_grid_table(ages, years, hp, seed) if not drop(c.age, c.year)])
+
+
+# hole masks over (ages, years): the subset2 notch, scattered cells of an uneven grid, part of a last year
+HOLE_MASKS = {
+    "subset2": (range(50, 85), range(1999, 2015), lambda a, y: y > 2010 and a > 70),
+    "scattered_10x5": (
+        [0, 1, 5, 10, 20, 35, 50, 65, 80, 100],
+        [1980, 1990, 2000, 2005, 2010],
+        lambda a, y: (a, y) in {(10, 1980), (100, 1980), (50, 1990), (1, 2000), (65, 2000), (10, 2005), (100, 2005), (50, 2010)},
+    ),
+    "partial_year_3x12": ([60, 61, 62], range(2000, 2012), lambda a, y: y == 2011 and a > 60),
+}

@@ -10,8 +10,9 @@ import pytest
 
 import mortgp
 import mortgp.gp as gp_mod
-from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model
+from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model, subset
 from mortgp.cli import build_parser, main
+from mortgp.data import SUBSET_PRESETS
 
 from conftest import table_from_surface, traced_memory
 
@@ -410,16 +411,46 @@ def grid_model_files(tmp_path_factory):
     return root
 
 
-def test_cli_import_leaves_out_scipy_stats(grid_model_files, tmp_path):
-    # no scipy at import, nor on any downstream command over a full-grid model
-    model, new, out = str(grid_model_files / "model.json"), str(grid_model_files / "new.csv"), str(tmp_path)
-    argvs = {
+@pytest.fixture(scope="module")
+def subset2_model_files(tmp_path_factory):
+    """A model of the notched subset2 cells (grid whitener with holes) and the 2011 cells of the notch."""
+    root = tmp_path_factory.mktemp("subset2_model")
+
+    def f(age, year):
+        return -9.0 + 0.08 * age - 0.01 * (year - 2005) + 0.02 * np.sin(0.6 * age)
+
+    table = subset(table_from_surface(range(50, 85), range(1999, 2015), f), SUBSET_PRESETS["subset2"])
+    table_from_surface(range(71, 85), [2011], f).save(root / "new.csv")
+    hp = KernelHyperparams(theta_ag=8.0, theta_yr=8.0, eta_sq=0.5, sigma_sq=1e-4)
+    save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
+    whitener = load_model(root / "model.json").whitener
+    assert isinstance(whitener, gp_mod._GridWhitener) and whitener.cells is not None
+    return root
+
+
+def downstream_argvs(root: Path, out: str, year: int, ages: str) -> dict:
+    """{label: argv} of every command that reads the model in root, for the last table year and these ages."""
+    model, new = str(root / "model.json"), str(root / "new.csv")
+    return {
         "smooth": ["smooth", "--model", model, "--out", out],
-        "forecast": ["forecast", "--model", model, "--years", "2015-2016", "--ages", "60-69", "--out", out],
-        **{f"improve {kind}": ["improve", "--model", model, "--kind", kind, "--year", "2014", "--out", out] for kind in ("back", "diff", "centered")},
-        "sample": ["sample", "--model", model, "--year", "2015", "--ages", "60-69", "--out", out],
+        "forecast": ["forecast", "--model", model, "--years", f"{year + 1}-{year + 2}", "--ages", ages, "--out", out],
+        **{f"improve {kind}": ["improve", "--model", model, "--kind", kind, "--year", str(year), "--out", out] for kind in ("back", "diff", "centered")},
+        "sample": ["sample", "--model", model, "--year", str(year + 1), "--ages", ages, "--out", out],
         "update": ["update", "--model", model, "--new-data", new, "--out", out],
     }
+
+
+def test_cli_import_leaves_out_scipy_stats(grid_model_files, tmp_path):
+    # no scipy at import, nor on any downstream command over a full-grid model
+    argvs = downstream_argvs(grid_model_files, str(tmp_path), 2014, "60-69")
+    steps = scipy_modules_by_step(argvs)
+    assert list(steps) == ["import mortgp", "import mortgp.cli", *argvs]
+    assert steps == {step: [] for step in steps}
+
+
+def test_cli_on_subset2_model_leaves_out_scipy(subset2_model_files, tmp_path):
+    # the grid whitener with holes factors the missing cells' M with numpy.linalg
+    argvs = downstream_argvs(subset2_model_files, str(tmp_path), 2014, "50-84")
     steps = scipy_modules_by_step(argvs)
     assert list(steps) == ["import mortgp", "import mortgp.cli", *argvs]
     assert steps == {step: [] for step in steps}

@@ -41,7 +41,7 @@ from mortgp.gp import _year_difference
 from mortgp.means import basis_dim, basis_matrix
 from mortgp.serialize import model_to_dict
 
-from conftest import simulate_gp_table, table_from_surface, traced_memory
+from conftest import HOLE_MASKS, simulate_gp_table, simulate_masked_table, table_from_surface, traced_memory
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 
@@ -104,7 +104,7 @@ class TestFitGls:
         col = scale * rng.standard_normal(n)
         h_white = np.column_stack([col, rng.standard_normal(n), col] if other else [col, col])
         with pytest.raises(ValueError, match=r"^GLS normal equations are singular; "):
-            gp_mod._profiled_gls(rng.standard_normal(n), h_white, 0.0)
+            gp_mod._profiled_gls(np.column_stack([rng.standard_normal(n), h_white]), 0.0, n)
 
     def test_rank_deficiency_rejected(self):
         # a single age cannot identify a quadratic-age trend
@@ -419,7 +419,7 @@ class TestLogMarginalLikelihood:
 def dense_route(fn, *args, **kwargs):
     """Call fn with the grid detection switched off, so every fit takes the dense Cholesky route."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gp_mod, "_grid_shape", lambda x: None)
+        mp.setattr(gp_mod, "_grid_cells", lambda x: None)
         return fn(*args, **kwargs)
 
 
@@ -433,6 +433,11 @@ def grid_xy(ages, years, seed=0):
 
 def is_grid(gp):
     return isinstance(gp.whitener, gp_mod._GridWhitener)
+
+
+def has_holes(gp):
+    """The grid whitener over some of its grid's cells."""
+    return is_grid(gp) and gp.whitener.cells is not None
 
 
 def assert_routes_agree(grid, dense, ages, years, seed=0):
@@ -534,6 +539,108 @@ class TestGridWhitener:
         assert_routes_agree(grid, dense, ages, years, seed)
 
 
+PUBLISHED_HP = KernelHyperparams(15.8, 15.5, 1.85, 2.8e-4)
+
+
+def masked_xy(shape, seed=1):
+    """Inputs and log rates of a ``HOLE_MASKS`` grid drawn at the published hyperparameters."""
+    ages, years, drop = HOLE_MASKS[shape]
+    table = simulate_masked_table(ages, years, PUBLISHED_HP, seed, drop)
+    return table.inputs(), table.responses()
+
+
+class TestGridWhitenerWithHoles:
+    """Cells missing from a grid, m <= n / 4 of them, whiten through the full grid's W with the
+    partitioned-inverse correction; it must agree with the dense route."""
+
+    @pytest.mark.parametrize("shape", list(HOLE_MASKS))
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_matches_dense_route(self, family, basis, shape):
+        ages, years, drop = HOLE_MASKS[shape]
+        cases = [(masked_xy(shape), hp) for hp in [PUBLISHED_HP, *BOX_CORNERS]]
+        if shape == "subset2":
+            # as for the full paper grid, the dense reference costs most here: the published point, then the
+            # long-lengthscale, low-noise corner on that test's data (``grid_xy``).  On GP draws at that
+            # corner both grid routes, with and without holes, differ from the dense one by up to 1.1e-10.
+            x, y = grid_xy(ages, years)
+            keep = np.array([not drop(a, yr) for a, yr in x])
+            worst = KernelHyperparams(BOX.theta_bounds[1], BOX.theta_bounds[1], BOX.eta_sq_bounds[0], BOX.sigma_sq_bounds[0])
+            cases = [cases[0], ((x[keep], y[keep]), worst)]
+        for (x, y), hp in cases:
+            holes = fit_gls_xy(x, y, family, hp, basis=basis)
+            dense = dense_route(fit_gls_xy, x, y, family, hp, basis=basis)
+            assert has_holes(holes) and holes.jitter == 0.0
+            assert_routes_agree(holes, dense, ages, years)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        ages=st.lists(st.integers(0, 100), min_size=2, max_size=12, unique=True),
+        years=st.lists(st.integers(1950, 2020), min_size=2, max_size=12, unique=True),
+        family=st.sampled_from(list(KernelFamily)),
+        basis=st.sampled_from(BASES),
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        holes=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=28),
+        seed=st.integers(0, 1000),
+    )
+    def test_agrees_with_dense_route_over_random_masks(self, ages, years, family, basis, fractions, holes, seed):
+        bounds = np.log([BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds])
+        hp = KernelHyperparams(*np.exp(bounds[:, 0] + np.array(fractions) * (bounds[:, 1] - bounds[:, 0])))
+        assume(hp.sigma_sq >= 1e-6 * hp.eta_sq)
+        x, y = grid_xy(sorted(ages), sorted(years), seed)
+        keep = np.ones(x.shape[0], dtype=bool)
+        keep[[int(h * x.shape[0]) for h in holes[: x.shape[0] // 5]]] = False  # m <= N / 5, so m <= n / 4
+        x, y = x[keep], y[keep]
+        assume(np.linalg.matrix_rank(basis_matrix(basis, x)) == basis_dim(basis) < x.shape[0])
+        assume(gp_mod._Covariance(family, x).cells is not None)  # no hole took a whole age or year
+        holes_fit = fit_gls_xy(x, y, family, hp, basis=basis)
+        dense = dense_route(fit_gls_xy, x, y, family, hp, basis=basis)
+        assert has_holes(holes_fit)
+        assert_routes_agree(holes_fit, dense, np.unique(x[:, 0]), np.unique(x[:, 1]), seed)
+
+    @pytest.mark.parametrize("missing, route", [(20, "holes"), (21, "dense")])
+    def test_route_threshold_at_a_quarter_of_n(self, missing, route):
+        # 10 x 10 grid: with m = 20 missing, m = n / 4 for n = 80; one more and m > n / 4
+        x, y = grid_xy(range(60, 70), range(2000, 2010))
+        ia, iy = np.divmod(np.arange(100), 10)[::-1]
+        drop = (ia + iy) % 5 == 0  # two cells of every age and of every year
+        drop[np.flatnonzero(~drop)[37]] = missing == 21
+        assert drop.sum() == missing
+        x, y = x[~drop], y[~drop]
+        cov = gp_mod._Covariance(SQEXP, x)
+        assert (cov.cells is not None) == (route == "holes") and (cov.shape is not None) == (route == "holes")
+        gp = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.LINEAR)
+        assert has_holes(gp) == (route == "holes") and is_grid(gp) == (route == "holes")
+
+    def test_failed_cholesky_of_missing_cells_falls_back_to_dense(self, monkeypatch):
+        x, y = masked_xy("subset2")
+        expected = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.QUADRATIC_AGE)
+        assert has_holes(expected) and expected.whitener.u.shape[1] == 56
+        real_cholesky = np.linalg.cholesky
+
+        def fail_on_m(a):
+            if a.shape == (56, 56):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_on_m)
+        gp = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.QUADRATIC_AGE)
+        assert not is_grid(gp) and gp.jitter == 0.0
+        assert gp.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_solve_matches_dense_route(self, k):
+        # a vector and a matrix right-hand side, on the full grid and with holes
+        rng = np.random.default_rng(4)
+        for x, _ in (grid_xy(range(50, 62), range(2000, 2008)), masked_xy("scattered_10x5")):
+            grid = fit_gls_xy(x, np.zeros(x.shape[0]), SQEXP, PUBLISHED_HP, basis=None)
+            dense = dense_route(fit_gls_xy, x, np.zeros(x.shape[0]), SQEXP, PUBLISHED_HP, basis=None)
+            r = rng.standard_normal((x.shape[0], k)) if k > 1 else rng.standard_normal(x.shape[0])
+            got, want = grid.whitener.solve(r), dense.whitener.solve(r)
+            assert is_grid(grid) and got.shape == r.shape
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
 class TestWhitenerRoute:
     """Which whitener a fit takes; outputs must not depend on it beyond the tolerances above."""
 
@@ -555,23 +662,29 @@ class TestWhitenerRoute:
         new = table_from_surface(range(50, 62), [2008], lambda a, y: -5.0 + 0.04 * a - 0.1)
         assert is_grid(update(gp, new))
 
-    def test_partial_year_update_takes_dense_route(self, table):
+    def test_partial_year_update_takes_grid_route_with_holes(self, table):
         gp = fit_gls(table, SQEXP, self.HP)
         new = table_from_surface(range(50, 56), [2008], lambda a, y: -5.0 + 0.04 * a - 0.1)
         updated = update(gp, new)
-        assert updated.n == 12 * 8 + 6 and not is_grid(updated)
+        assert updated.n == 12 * 8 + 6 and has_holes(updated) and updated.jitter == 0.0
+        assert updated.whitener.u.shape == (12 * 9, 6)  # the six missing ages of 2008
 
-    @pytest.mark.parametrize("case", ["subset2", "zero_death_cell", "delta_noise", "zero_noise_jitter"])
-    def test_other_inputs_take_dense_route(self, table, case):
-        hp, noise = self.HP, None
+    @pytest.mark.parametrize("case", ["subset2", "zero_death_cell"])
+    def test_notched_inputs_take_grid_route_with_holes(self, table, case):
         if case == "subset2":
             table = subset(table_from_surface(range(50, 85), range(1999, 2015), lambda a, y: -9.0 + 0.08 * a), SUBSET_PRESETS["subset2"])
-        elif case == "zero_death_cell":
+        else:
             cells = list(table)
             cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
             with pytest.warns(UserWarning, match="zero-death"):
                 table = MortalityTable(cells)
-        elif case == "delta_noise":
+        gp = fit_gls(table, SQEXP, self.HP)
+        assert has_holes(gp) and gp.jitter == 0.0
+
+    @pytest.mark.parametrize("case", ["delta_noise", "zero_noise_jitter"])
+    def test_other_inputs_take_dense_route(self, table, case):
+        hp, noise = self.HP, None
+        if case == "delta_noise":
             noise = DeltaMethodNoise(1.5)
         else:
             hp = KernelHyperparams(self.HP.theta_ag, self.HP.theta_yr, self.HP.eta_sq, 0.0)
@@ -591,18 +704,36 @@ class TestWhitenerRoute:
         assert not is_grid(gp) and gp.jitter == 0.0
         assert gp.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-8)
 
-    @pytest.mark.parametrize("family", list(KernelFamily))
-    def test_one_shot_dense_fit_holds_about_one_n_by_n_array(self, family):
-        # A is gathered into one n x n buffer, factorized in place, and the model keeps only that factor
+    @staticmethod
+    def notched_xy():
         x, y = grid_xy(range(40), range(1990, 2016))
         notch = (x[:, 0] > 30) & (x[:, 1] > 2011)
-        x, y = x[~notch], y[~notch]
-        n_by_n = x.shape[0] ** 2 * 8  # n = 1004
+        return x[~notch], y[~notch]  # n = 1004 of the grid's 1040 cells
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_one_shot_dense_fit_holds_about_one_n_by_n_array(self, family):
+        # A is gathered into one n x n buffer, factorized in place, and the model keeps only that factor;
+        # a noise diagonal that is not constant keeps these notched inputs on the dense route
+        x, y = self.notched_xy()
+        noise_diag = self.HP.sigma_sq * np.linspace(0.5, 1.5, x.shape[0])
+        n_by_n = x.shape[0] ** 2 * 8
         models = []
-        held, peak = traced_memory(lambda: models.append(fit_gls_xy(x, y, family, self.HP, basis=MeanBasis.QUADRATIC_AGE)))
+        held, peak = traced_memory(
+            lambda: models.append(fit_gls_xy(x, y, family, self.HP, basis=MeanBasis.QUADRATIC_AGE, noise_diag=noise_diag))
+        )
         assert not is_grid(models[0])
         assert peak <= 1.5 * n_by_n
         assert held <= 1.05 * n_by_n
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_one_shot_fit_with_holes_holds_no_n_by_n_array(self, family):
+        x, y = self.notched_xy()
+        n_by_n = x.shape[0] ** 2 * 8
+        models = []
+        held, peak = traced_memory(lambda: models.append(fit_gls_xy(x, y, family, self.HP, basis=MeanBasis.QUADRATIC_AGE)))
+        assert has_holes(models[0])
+        assert peak < 0.25 * n_by_n
+        assert held < 0.25 * n_by_n
 
     def test_model_json_stays_schema_1(self, table):
         d = model_to_dict(fit_gls(table, SQEXP, self.HP))

@@ -30,7 +30,7 @@ from mortgp import (
 from mortgp.data import SUBSET_PRESETS, _center_scale
 from mortgp.means import basis_dim
 
-from conftest import simulate_gp_table, simulate_grid_table, table_from_surface, traced_memory
+from conftest import HOLE_MASKS, simulate_gp_table, simulate_grid_table, simulate_masked_table, table_from_surface, traced_memory
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 
@@ -417,7 +417,8 @@ GRID_SHAPES = {
 
 
 def route_case(sim_table, case):
-    """(table, noise) for a route case; only the full grid with constant noise takes the grid route."""
+    """(table, noise) for a route case.  With constant noise each takes the grid route, with holes unless it is the
+    full grid; delta-method noise takes the dense route."""
     if case == "subset2":
         return subset(grid_table(range(50, 85), range(1999, 2015)), SUBSET_PRESETS["subset2"]), "constant"
     if case == "zero_death_cell":
@@ -444,7 +445,16 @@ class TestKroneckerRoute:
         assert math.isfinite(value) and np.isfinite(grad).all()
         assert fun.cov.buffer is None and fun.cov.grad_buffer is None  # no n x n arrays
 
-    @pytest.mark.parametrize("case", ["zero_death_cell", "subset2", "delta_noise"])
+    @pytest.mark.parametrize("case", ["zero_death_cell", "subset2", "partial_year"])
+    def test_notched_inputs_take_grid_route_with_holes(self, monkeypatch, sim_table, case):
+        table, noise = route_case(sim_table, case)
+        fun, x0, _ = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
+        assert fun.cov.shape is not None and fun.cov.cells is not None
+        value, grad = fun(x0)
+        assert math.isfinite(value) and np.isfinite(grad).all()
+        assert fun.cov.buffer is None and fun.cov.grad_buffer is None  # no n x n arrays
+
+    @pytest.mark.parametrize("case", ["delta_noise"])
     def test_other_inputs_take_dense_route(self, monkeypatch, sim_table, case):
         table, noise = route_case(sim_table, case)
         fun, x0, _ = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
@@ -459,10 +469,16 @@ class TestKroneckerRoute:
         table, noise = route_case(sim_table, case)
         fun, x0, bounds = capture_objective(monkeypatch, table, SQEXP, MeanBasis.INTERCEPT, noise)
         kinds = []
-        real_whiten = gp_mod._whiten
-        monkeypatch.setattr(gp_mod, "_whiten", lambda w, yh: kinds.append(type(w)) or real_whiten(w, yh))
+        real_call = gp_mod._Covariance.__call__
+
+        def recording_call(cov, hp, noise_diag):
+            whitener, jitter = real_call(cov, hp, noise_diag)
+            kinds.append(type(whitener))
+            return whitener, jitter
+
+        monkeypatch.setattr(gp_mod._Covariance, "__call__", recording_call)
         rng = np.random.default_rng(3)
-        expected = gp_mod._GridWhitener if case == "full_grid" else gp_mod._CholeskyWhitener
+        expected = gp_mod._CholeskyWhitener if case == "delta_noise" else gp_mod._GridWhitener
         for v in [x0, *(rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(4))]:
             sigma_sq = math.exp(v[3]) if noise == "constant" else 0.0
             hp = KernelHyperparams(math.exp(v[0]), math.exp(v[1]), math.exp(v[2]), sigma_sq)
@@ -578,7 +594,8 @@ class TestGradient:
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_dense_gradient_adds_one_n_by_n_buffer(self, sim_table, family):
         table, _ = route_case(sim_table, "subset2")
-        obj = row_order_objectives(table, family, MeanBasis.QUADRATIC_AGE)[0]
+        obj = row_order_objectives(table, family, MeanBasis.QUADRATIC_AGE)[1]  # reversed rows: dense
+        assert obj.cov.shape is None
         v = np.array([0.1, 0.2, 0.3, -7.0]) + np.log([*_center_scale(table.inputs())[1], 1.0, 1.0])
         nbytes = 8 * table.inputs().shape[0] ** 2
         obj.loglik(v)  # makes the factor's buffer
@@ -609,3 +626,96 @@ class TestGradient:
             if noise_ratio_ok(v):
                 grad = assert_gradient_matches(grid, v)
                 np.testing.assert_allclose(grad, dense(v)[1], rtol=0.0, atol=1e-8 * np.abs(grad).max())
+
+
+def masked_table(shape, seed=1):
+    """A ``HOLE_MASKS`` grid drawn at the published hyperparameters, holes left out."""
+    ages, years, drop = HOLE_MASKS[shape]
+    return simulate_masked_table(ages, years, KernelHyperparams(15.8, 15.5, 1.85, 2.8e-4), seed, drop)
+
+
+def box_points(bounds, x0, n_draws, seed):
+    """The start, random points of the search box and its corners, where the noise is at least 1e-6 of eta^2."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(n_draws)]
+    corners = [np.array(c) for c in itertools.product(*bounds)]
+    return [v for v in [x0, *draws, *corners] if noise_ratio_ok(v)]
+
+
+class TestHolesRoute:
+    """Inputs missing m <= n / 4 cells of their grid: the objective whitens through the full grid's W with the
+    partitioned-inverse correction, and must agree with the dense route."""
+
+    @pytest.mark.parametrize("shape", list(HOLE_MASKS))
+    @pytest.mark.parametrize("basis", [None, *MeanBasis], ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_matches_dense_route_and_log_marginal_likelihood(self, monkeypatch, family, basis, shape):
+        table = masked_table(shape)
+        fun, x0, bounds = capture_objective(monkeypatch, table, family, basis, "constant")
+        assert fun.cov.cells is not None
+        _, dense = row_order_objectives(table, family, basis)
+        assert dense.cov.shape is None
+        points = box_points(bounds, x0, 8, seed=9)
+        assert len(points) > 10
+        for v in points:
+            value = fun.loglik(v)
+            hp = KernelHyperparams(*np.exp(v))
+            assert value == pytest.approx(dense.loglik(v), rel=1e-8)
+            assert value == pytest.approx(log_marginal_likelihood(table, family, hp, basis=basis), rel=1e-8)
+        assert fun.cov.buffer is None and fun.failures == 0
+
+    @pytest.mark.parametrize("shape", list(HOLE_MASKS))
+    @pytest.mark.parametrize("basis", [None, *MeanBasis], ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_gradient_matches_finite_differences(self, monkeypatch, family, basis, shape):
+        table = masked_table(shape)
+        fun, x0, bounds = capture_objective(monkeypatch, table, family, basis, "constant")
+        _, dense = row_order_objectives(table, family, basis)
+        for v in box_points(bounds, x0, 4, seed=12):
+            grad = assert_gradient_matches(fun, v)
+            np.testing.assert_allclose(grad, dense(v)[1], rtol=0.0, atol=1e-8 * np.abs(grad).max())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        ages=st.lists(st.integers(0, 100), min_size=2, max_size=12, unique=True),
+        years=st.lists(st.integers(1950, 2020), min_size=2, max_size=12, unique=True),
+        family=st.sampled_from(list(KernelFamily)),
+        basis=st.sampled_from([None, *MeanBasis]),
+        fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=4),
+        holes=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=28),
+        seed=st.integers(0, 1000),
+    )
+    def test_agrees_with_dense_route_over_random_masks(self, ages, years, family, basis, fractions, holes, seed):
+        cells = list(grid_table(sorted(ages), sorted(years), seed))
+        dropped = {int(h * len(cells)) for h in holes[: len(cells) // 5]}  # m <= N / 5, so m <= n / 4
+        table = MortalityTable([c for i, c in enumerate(cells) if i not in dropped])
+        x = table.inputs()
+        assume(np.unique(x[:, 0]).size >= 2 + (basis is MeanBasis.QUADRATIC_AGE) and np.unique(x[:, 1]).size >= 2)
+        assume(x.shape[0] >= basis_dim(basis) + 2)
+        with pytest.MonkeyPatch.context() as mp:
+            holes_obj, _, bounds = capture_objective(mp, table, family, basis, "constant")
+        assume(holes_obj.cov.cells is not None)  # no hole took a whole age or year
+        _, dense = row_order_objectives(table, family, basis)
+        for u in fractions:
+            v = bounds[:, 0] + np.array(u) * (bounds[:, 1] - bounds[:, 0])
+            if noise_ratio_ok(v):
+                assert holes_obj.loglik(v) == pytest.approx(dense.loglik(v), rel=1e-8)
+                assert_gradient_matches(holes_obj, v)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_failed_cholesky_of_missing_cells_falls_back_to_dense(self, monkeypatch, family):
+        table = masked_table("subset2")
+        fun, x0, _ = capture_objective(monkeypatch, table, family, MeanBasis.QUADRATIC_AGE, "constant")
+        expected = fun.loglik(x0)
+        real_cholesky = np.linalg.cholesky
+
+        def fail_on_m(a):
+            if a.shape == (56, 56):  # M over the 56 cells the notch leaves out
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_on_m)
+        value, grad = fun(x0)
+        assert fun.cov.buffer is not None  # the dense factorization took the point
+        assert -value == pytest.approx(expected, rel=1e-8) and np.isfinite(grad).all()
+        assert fun.failures == 0

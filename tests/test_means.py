@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
-from mortgp import MeanBasis, basis_matrix, eval_basis, eval_mean
+from mortgp import MeanBasis, basis_matrix
 from mortgp.means import basis_change_matrix, basis_dim, dbasis_dyr
 
 
-class TestEvalBasis:
+def basis_row(basis, x):
+    """h(x) for a single (age, year) input: the one row of its design matrix."""
+    return basis_matrix(basis, [x])[0]
+
+
+def prior_mean(basis, coeffs, x) -> float:
+    """h(x) . beta at one input."""
+    return float(basis_row(basis, x) @ np.asarray(coeffs, dtype=float))
+
+
+class TestBasisRow:
     def test_intercept(self):
-        np.testing.assert_array_equal(eval_basis(MeanBasis.INTERCEPT, (70, 2014)), [1.0])
+        np.testing.assert_array_equal(basis_row(MeanBasis.INTERCEPT, (70, 2014)), [1.0])
 
     def test_linear_at_origin(self):
-        np.testing.assert_array_equal(eval_basis(MeanBasis.LINEAR, (0, 0)), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(basis_row(MeanBasis.LINEAR, (0, 0)), [1.0, 0.0, 0.0])
 
     def test_quadratic(self):
-        np.testing.assert_array_equal(eval_basis(MeanBasis.QUADRATIC_AGE, (70, 2014)), [1.0, 70.0, 2014.0, 4900.0])
+        np.testing.assert_array_equal(basis_row(MeanBasis.QUADRATIC_AGE, (70, 2014)), [1.0, 70.0, 2014.0, 4900.0])
 
     def test_dimensions(self):
         assert basis_dim(None) == 0
@@ -22,32 +32,32 @@ class TestEvalBasis:
         assert basis_dim(MeanBasis.QUADRATIC_AGE) == 4
 
 
-class TestEvalMean:
+class TestPriorMean:
     def test_intercept_constant(self):
         for x in [(50, 1999), (84, 2014), (0, 0)]:
-            assert eval_mean(MeanBasis.INTERCEPT, [-4.526], x) == -4.526
+            assert prior_mean(MeanBasis.INTERCEPT, [-4.526], x) == -4.526
 
     def test_quadratic_fitted_coefficients(self):
         # hand evaluation: 19.641 + 0.064*70 + 1.459e-4*70^2 - 1.417e-2*2009
         beta = [19.641, 0.064, -1.417e-2, 1.459e-4]
         expected = 19.641 + 0.064 * 70 + 1.459e-4 * 4900 - 1.417e-2 * 2009
         assert expected == pytest.approx(-3.63162, abs=1e-5)
-        assert eval_mean(MeanBasis.QUADRATIC_AGE, beta, (70, 2009)) == pytest.approx(expected, rel=1e-14)
+        assert prior_mean(MeanBasis.QUADRATIC_AGE, beta, (70, 2009)) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_coefficients(self):
-        assert eval_mean(MeanBasis.LINEAR, [0.0, 0.0, 0.0], (70, 2009)) == 0.0
+        assert prior_mean(MeanBasis.LINEAR, [0.0, 0.0, 0.0], (70, 2009)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            eval_mean(MeanBasis.LINEAR, [1.0, 2.0], (70, 2009))
+            prior_mean(MeanBasis.LINEAR, [1.0, 2.0], (70, 2009))
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             b1, b2 = rng.standard_normal(4), rng.standard_normal(4)
             x = rng.uniform(0, 100, size=2)
-            lhs = eval_mean(MeanBasis.QUADRATIC_AGE, b1 + b2, x)
-            rhs = eval_mean(MeanBasis.QUADRATIC_AGE, b1, x) + eval_mean(MeanBasis.QUADRATIC_AGE, b2, x)
+            lhs = prior_mean(MeanBasis.QUADRATIC_AGE, b1 + b2, x)
+            rhs = prior_mean(MeanBasis.QUADRATIC_AGE, b1, x) + prior_mean(MeanBasis.QUADRATIC_AGE, b2, x)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -61,11 +71,11 @@ class TestBasisMatrix:
     def test_none_basis_gives_empty_matrix(self):
         assert basis_matrix(None, np.zeros((5, 2))).shape == (5, 0)
 
-    def test_rows_match_eval_basis(self):
+    def test_rows_match_one_row_matrices(self):
         x = np.array([[52.0, 2001.0], [60.0, 2013.0]])
         h = basis_matrix(MeanBasis.QUADRATIC_AGE, x)
         for i in range(2):
-            np.testing.assert_array_equal(h[i], eval_basis(MeanBasis.QUADRATIC_AGE, x[i]))
+            np.testing.assert_array_equal(h[i], basis_row(MeanBasis.QUADRATIC_AGE, x[i]))
 
 
 class TestBasisChange:

@@ -60,6 +60,16 @@ class TestRoundTrip:
         loaded = model_from_dict(model_to_dict(gp))
         assert loaded.noise == ConstantNoise(5e-4)
 
+    def test_file_is_one_line_with_sorted_keys(self, tmp_path):
+        gp = fitted_model()
+        path = tmp_path / "model.json"
+        save_model(gp, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == model_to_dict(gp)
+        assert text == json.dumps(model_to_dict(gp), sort_keys=True) + "\n"
+        assert json.loads(text)["schema_version"] == 1
+
     def test_schema_fields_present(self):
         payload = model_to_dict(fitted_model())
         for key in ("schema_version", "family", "hyperparams", "noise", "basis", "beta", "inputs", "y", "noise_diag"):
