@@ -19,7 +19,6 @@ from .gp import (
     fit_gls,
     fit_gls_xy,
     log_marginal_likelihood,
-    log_marginal_likelihood_xy,
     predict,
     predict_observation,
     predict_year_derivative,
@@ -32,11 +31,8 @@ from .kernels import (
     DeltaMethodNoise,
     KernelFamily,
     KernelHyperparams,
-    cov,
     cov_matrix,
     cross_cov,
-    d2cov_dyr2,
-    dcov_dyr,
     noise_diagonal,
 )
 from .means import MeanBasis, basis_matrix
@@ -59,7 +55,6 @@ __all__ = [
     "fit_gls",
     "fit_gls_xy",
     "log_marginal_likelihood",
-    "log_marginal_likelihood_xy",
     "predict",
     "predict_observation",
     "predict_year_derivative",
@@ -76,11 +71,8 @@ __all__ = [
     "DeltaMethodNoise",
     "KernelFamily",
     "KernelHyperparams",
-    "cov",
     "cov_matrix",
     "cross_cov",
-    "d2cov_dyr2",
-    "dcov_dyr",
     "noise_diagonal",
     "MeanBasis",
     "basis_matrix",

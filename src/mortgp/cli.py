@@ -141,21 +141,13 @@ def _posterior_rows(xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float)
 POSTERIOR_HEADER = ["age", "year", "mean_log", "sd_log", "lo", "hi"]
 
 
-def _print_fit(result) -> None:
-    rows = [
-        ("theta_ag", result.hp.theta_ag),
-        ("theta_yr", result.hp.theta_yr),
-        ("eta_sq", result.hp.eta_sq),
-        ("sigma_sq", result.hp.sigma_sq),
-    ]
-    rows += list(zip(BETA_LABELS[result.basis], result.beta))
-    rows.append(("log_likelihood", result.log_likelihood))
+def _write_estimates(path: Path, rows) -> None:
+    """Write ``(parameter, estimate)`` rows as CSV and print them as a table, numbers to 6 significant digits."""
+    _write_csv(path, ["parameter", "estimate"], rows)
     width = max(len(name) for name, _ in rows)
     print(f"{'parameter':<{width}}  estimate")
     for name, value in rows:
-        print(f"{name:<{width}}  {value:.6g}")
-    if result.bound_hit:
-        print("warning: optimizer stopped at a hyperparameter bound")
+        print(f"{name:<{width}}  {value if isinstance(value, str) else format(value, '.6g')}")
 
 
 def cmd_fit(args) -> int:
@@ -174,9 +166,8 @@ def cmd_fit(args) -> int:
         ["converged", str(result.converged).lower()],
         ["bound_hit", str(result.bound_hit).lower()],
     ]
-    _write_csv(out / "fit.csv", ["parameter", "estimate"], rows)
     _write_manifest(out, "fit", args)
-    _print_fit(result)
+    _write_estimates(out / "fit.csv", rows)
     return 0
 
 
@@ -285,7 +276,6 @@ def cmd_glm(args) -> int:
     fit = glm_mod.fit_poisson_glm(table, basis)
     rows = [*zip(BETA_LABELS[basis], fit.beta.tolist())]
     rows += [["deviance", fit.deviance], ["iterations", fit.iterations], ["converged", str(fit.converged).lower()]]
-    _write_csv(out / "glm.csv", ["parameter", "estimate"], rows)
     payload = {
         "basis": basis.value,
         "beta": fit.beta.tolist(),
@@ -295,10 +285,7 @@ def cmd_glm(args) -> int:
     }
     (out / "glm.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "glm", args)
-    width = max(len(r[0]) for r in rows)
-    print(f"{'parameter':<{width}}  estimate")
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
+    _write_estimates(out / "glm.csv", rows)
     return 0
 
 

@@ -64,7 +64,7 @@ class MortalityTable:
     appear in the training arrays returned by :meth:`inputs` / :meth:`responses`.
     """
 
-    def __init__(self, cells: Iterable[MortalityCell], gender_label: str = "", source_label: str = ""):
+    def __init__(self, cells: Iterable[MortalityCell]):
         ordered = sorted(cells, key=lambda c: (c.year, c.age))
         seen = set()
         for c in ordered:
@@ -73,8 +73,6 @@ class MortalityTable:
                 raise ValueError(f"duplicate cell for age {c.age}, year {c.year}")
             seen.add(key)
         self._cells = tuple(ordered)
-        self.gender_label = gender_label
-        self.source_label = source_label
         n_zero = sum(1 for c in ordered if not c.trainable)
         if n_zero:
             warnings.warn(f"{n_zero} zero-death cell(s) flagged; they are excluded from training", stacklevel=2)
@@ -128,7 +126,7 @@ class MortalityTable:
         clash = [k for k in ((c.age, c.year) for c in other) if k in mine]
         if clash:
             raise ValueError(f"tables overlap on {len(clash)} cell(s), first at (age,year)={clash[0]}")
-        return MortalityTable(self._cells + other.cells, self.gender_label, self.source_label)
+        return MortalityTable(self._cells + other.cells)
 
     def save(self, target: Union[str, Path, IO[str]]) -> None:
         save_table(self, target)
@@ -187,17 +185,7 @@ def subset(table: MortalityTable, spec: SubsetSpec) -> MortalityTable:
         raise ValueError("subset selects no cells")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-death cells were already flagged on load
-        return MortalityTable(kept, table.gender_label, table.source_label)
-
-
-def _center_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and sample (ddof 1) standard deviations of (N, 2) inputs.
-
-    A constant column, or a single row, gets scale 1 and passes through unscaled.
-    """
-    center = x.mean(axis=0)
-    scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
-    return center, np.where(scale > 0, scale, 1.0)
+        return MortalityTable(kept)
 
 
 def _open_for(target, mode: str):
@@ -206,7 +194,7 @@ def _open_for(target, mode: str):
     return target, False
 
 
-def load_table(source: Union[str, Path, IO[str]], gender_label: str = "", source_label: str = "") -> MortalityTable:
+def load_table(source: Union[str, Path, IO[str]]) -> MortalityTable:
     """Read a mortality table from CSV.
 
     The header must name ``age, year, deaths, exposure`` (case-insensitive,
@@ -240,7 +228,7 @@ def load_table(source: Union[str, Path, IO[str]], gender_label: str = "", source
                 cells.append(MortalityCell(age=age, year=year, deaths=deaths, exposure=exposure))
             except ValueError as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
-        return MortalityTable(cells, gender_label=gender_label, source_label=source_label)
+        return MortalityTable(cells)
     finally:
         if owned:
             stream.close()

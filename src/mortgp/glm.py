@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means
-from .data import MortalityTable, _center_scale
+from .data import MortalityTable
 from .means import MeanBasis
 
 
@@ -46,12 +46,9 @@ def fit_poisson_glm(table: MortalityTable, basis: MeanBasis, max_iter: int = 100
     offset = np.log(np.array([c.exposure for c in cells], dtype=float))
 
     p = means.basis_dim(basis)
-    center, scale = _center_scale(x)
-    h = means.basis_matrix(basis, (x - center) / scale)
     if x.shape[0] < p:
         raise ValueError(f"need at least {p} cells to fit a {p}-parameter GLM")
-    if np.linalg.matrix_rank(h) < p:
-        raise ValueError("GLM design matrix is rank deficient on these inputs")
+    h, center, scale = means.design(basis, x)
 
     # saturated-ish start; the first WLS solve is accepted unconditionally
     mu = d + 0.5

@@ -37,10 +37,16 @@ over the distinct ages and years (``kernels._tables``): the Kronecker factors
 on a grid, gathered into the full array otherwise (``kernels._gather``).
 
 On the same model the two agree within 1e-10 absolute on posterior means and
-variances and 1e-8 relative on the log-likelihood wherever the noise is at
-least 1e-6 of eta^2, with or without missing cells.  On the ``subset2``
-notch at the published hyperparameters the likelihood with its gradient
-costs about a sixth of the dense route's.
+variances and 1e-8 relative on the log-likelihood, with or without missing
+cells, where the noise is at least 1e-6 of eta^2; the tests check this over
+the MLE search box on a smooth trend plus noise and, with holes, on GP draws.
+At the box's worst-conditioned corner, theta_ag = theta_yr = 100,
+eta^2 = 1e-6, sigma^2 = 1e-10, that bound is float64's floor: on 35 x 16 GP
+draws, full or ``subset2``, the means differ there by up to 1.1e-10, each
+route 2-7e-11 from a long-double reference, so the 35 x 16 tests check that
+corner on trend-plus-noise data.  On the ``subset2`` notch at the published
+hyperparameters the likelihood with its gradient costs about a sixth of the
+dense route's.
 
 Basis coefficients are solved in internally rescaled input coordinates (the
 raw design matrix for a quadratic-age trend over calendar years is too ill
@@ -66,7 +72,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import kernels, means
-from .data import MortalityTable, _center_scale
+from .data import MortalityTable
 from .kernels import ConstantNoise, KernelFamily, KernelHyperparams, NoiseModel
 from .means import MeanBasis
 
@@ -313,16 +319,6 @@ class FittedGP:
         return means.basis_matrix(self.basis, z)
 
 
-def _design(basis: Optional[MeanBasis], x: np.ndarray):
-    """``(h, center, scale)``: the design matrix over the raw inputs x rescaled by
-    ``_center_scale``, checked for full column rank, and that center and scale."""
-    center, scale = _center_scale(x)
-    h = means.basis_matrix(basis, (x - center) / scale)
-    if h.shape[1] and np.linalg.matrix_rank(h) < h.shape[1]:
-        raise ValueError("mean basis design matrix is rank deficient on these inputs")
-    return h, center, scale
-
-
 def _grid_cells(axes):
     """``((years, ages), cells)`` when the rows ``kernels._axes`` describes are distinct (age, year) cells in
     (year, age) order: the counts of the grid of their distinct ages and years, and the rows' positions among its
@@ -469,7 +465,7 @@ def fit_gls_xy(
     if n < p:
         raise ValueError(f"need at least {p} observations to fit a {p}-dimensional mean basis, got {n}")
 
-    h_scaled, center, scale = _design(basis, x)
+    h_scaled, center, scale = means.design(basis, x)
     cov = _Covariance(family, x)
     try:
         whitener, jitter = cov(hp, noise_diag)
@@ -602,8 +598,8 @@ def predict(gp: FittedGP, x_star, want_covariance: bool = False) -> PosteriorSum
     k_star = kernels.cov_matrix(gp.family, gp.hp, xs) if want_covariance else None
     mean, var, covariance = _condition(gp, c, gp.scaled_basis_matrix(xs), gp.hp.eta_sq, k_star)
     if covariance is not None:
-        var = _clamp_variance(np.diag(covariance).copy())
-    return PosteriorSummary(inputs=xs, mean=mean, variance=_clamp_variance(var), covariance=covariance)
+        var = np.diag(covariance)
+    return PosteriorSummary(inputs=xs, mean=mean, variance=var, covariance=covariance)
 
 
 def predict_observation(gp: FittedGP, x_star) -> PosteriorSummary:
@@ -646,8 +642,9 @@ def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:
     d = _cross(gp, xs, kernels._dfactor)
     # year-derivative of the rescaled basis is constant across inputs
     dh = means.dbasis_dyr(gp.basis) / gp.basis_scale[1]
-    mean, var, _ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.size)), gp.hp.eta_sq / gp.hp.theta_yr**2)
-    return PosteriorSummary(inputs=xs, mean=mean, variance=_clamp_variance(var))
+    prior_var = gp.hp.eta_sq * kernels._d2factor(gp.family, 0.0, gp.hp.theta_yr)
+    mean, var, _ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.size)), prior_var)
+    return PosteriorSummary(inputs=xs, mean=mean, variance=var)
 
 
 def _year_difference(gp: FittedGP, ages, year_lo: float, year_hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -685,26 +682,8 @@ def log_marginal_likelihood(
     Gaussian likelihood.  Returns -inf (with a warning) when the covariance
     matrix cannot be factorized.
     """
-    if noise is None:
-        noise = ConstantNoise(hp.sigma_sq)
-    noise_diag = kernels.noise_diagonal(noise, table)
-    return log_marginal_likelihood_xy(
-        table.inputs(), table.responses(), family, hp, basis=basis, noise=noise, noise_diag=noise_diag
-    )
-
-
-def log_marginal_likelihood_xy(
-    x,
-    y,
-    family: KernelFamily,
-    hp: KernelHyperparams,
-    basis: Optional[MeanBasis] = MeanBasis.INTERCEPT,
-    noise: Optional[NoiseModel] = None,
-    noise_diag=None,
-) -> float:
     try:
-        gp = fit_gls_xy(x, y, family, hp, basis=basis, noise=noise, noise_diag=noise_diag)
+        return fit_gls(table, family, hp, noise, basis).log_likelihood
     except FactorizationError as exc:
         warnings.warn(f"likelihood evaluation failed: {exc}", stacklevel=2)
         return float("-inf")
-    return gp.log_likelihood

@@ -121,7 +121,7 @@ class _ProfiledLikelihood:
     """Profiled log marginal likelihood of either kernel family over raw (age, year) inputs.
 
     A thin user of ``gp``, building the same arrays as ``gp.fit_gls_xy`` at
-    the same hyperparameters: the rescaled design of ``gp._design``, and one
+    the same hyperparameters: the rescaled design of ``means.design``, and one
     ``gp._Covariance`` per fit (``cov``) that factorizes A at each evaluation,
     keeping the distinct inputs and, from the first dense evaluation on, its
     n x n buffers; the whitener's ``whiten`` and ``half_logdet`` and
@@ -130,7 +130,7 @@ class _ProfiledLikelihood:
     """
 
     def __init__(self, family, x, y, basis, fixed_noise_diag):
-        self.h = gp_mod._design(basis, x)[0]
+        self.h = means.design(basis, x)[0]
         self.yh = np.column_stack([y, self.h])
         self.estimate_sigma = fixed_noise_diag is None  # constant noise, the last parameter
         self.noise_diag = np.empty(y.size) if self.estimate_sigma else fixed_noise_diag

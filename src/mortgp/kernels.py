@@ -84,7 +84,10 @@ def _dfactor(family: KernelFamily, d, theta: float) -> np.ndarray:
 
 
 def _d2factor(family: KernelFamily, d, theta: float) -> np.ndarray:
-    """Mixed second derivative of ``_factor`` at d = x - x' in x and x' (squared-exponential only)."""
+    """Mixed second derivative of ``_factor`` at d = x - x' in x and x' (squared-exponential only).
+
+    At d = 0, times eta^2, it is the prior variance of the year-derivative process, eta^2 / theta^2.
+    """
     _require_differentiable(family)
     return _factor(family, d, theta) * (1.0 - (d / theta) ** 2) / theta**2
 
@@ -121,11 +124,6 @@ def _separable(family: KernelFamily, hp: KernelHyperparams, X, Xstar, year_facto
     return _gather(*_tables(family, hp, axes, q_axes, year_factor), axes, q_axes)
 
 
-def cov(family: KernelFamily, hp: KernelHyperparams, x, xp) -> float:
-    """Covariance between two (age, year) inputs."""
-    return float(cross_cov(family, hp, x, xp)[0, 0])
-
-
 def cov_matrix(family: KernelFamily, hp: KernelHyperparams, X) -> np.ndarray:
     """Full covariance matrix over a set of inputs (exactly symmetric)."""
     X = np.asarray(X, dtype=float).reshape(-1, 2)
@@ -147,28 +145,9 @@ def _require_differentiable(family: KernelFamily) -> None:
         )
 
 
-def dcov_dyr(hp: KernelHyperparams, x, xp, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> float:
-    """Derivative of cov(x, x') in the *second* argument's year coordinate.
-
-    For the squared-exponential kernel this is
-    ``C(x, x') * (x_yr - x'_yr) / theta_yr^2``; the sign convention is pinned
-    by the finite-difference identity d/dh cov(x, x' + h e_yr) at h = 0.
-    """
-    return float(dcross_cov_dyr(hp, x, xp, family)[0, 0])
-
-
-def d2cov_dyr2(hp: KernelHyperparams, x, xp, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> float:
-    """Mixed second derivative of cov in both arguments' year coordinates.
-
-    Equals ``C(x, x') * (1 - (d_yr / theta_yr)^2) / theta_yr^2``; at zero
-    separation this is the prior variance of the year-derivative process,
-    ``eta^2 / theta_yr^2``.
-    """
-    return float(_separable(family, hp, x, xp, _d2factor)[0, 0])
-
-
 def dcross_cov_dyr(hp: KernelHyperparams, X, Xstar, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> np.ndarray:
-    """(N, M) matrix of dcov_dyr(x_i, xstar_j), differentiated in xstar's year."""
+    """(N, M) derivative of cross_cov(X, Xstar) in xstar's year, C (x_yr - xstar_yr) / theta_yr^2 for the
+    squared-exponential; the sign is pinned by d/dh C(x, xstar + h e_yr) at h = 0."""
     return _separable(family, hp, X, Xstar, _dfactor)
 
 

@@ -43,6 +43,19 @@ def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:
     raise ValueError(f"unknown mean basis {basis!r}")
 
 
+def design(basis: MeanBasis | None, x: np.ndarray):
+    """``(h, center, scale)``: the design matrix over the (N, 2) inputs x mapped by (x - center) / scale,
+    checked for full column rank, with center the column means and scale the sample (ddof 1) standard
+    deviations; a constant column, or a single row, gets scale 1 and passes through unscaled."""
+    center = x.mean(axis=0)
+    scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.ones(2)
+    scale = np.where(scale > 0, scale, 1.0)
+    h = basis_matrix(basis, (x - center) / scale)
+    if h.shape[1] and np.linalg.matrix_rank(h) < h.shape[1]:
+        raise ValueError("mean basis design matrix is rank deficient on these inputs")
+    return h, center, scale
+
+
 def dbasis_dyr(basis: MeanBasis | None) -> np.ndarray:
     """Year-derivative of the basis vector (constant for these variants)."""
     if basis is None:

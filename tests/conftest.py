@@ -33,14 +33,14 @@ def traced_memory(fn) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def table_from_surface(ages, years, log_rate_fn, exposure=1e5, **labels):
+def table_from_surface(ages, years, log_rate_fn, exposure=1e5):
     """Build a table whose log rates equal log_rate_fn(age, year) up to float roundoff."""
     cells = []
     for year in years:
         for age in ages:
             rate = np.exp(log_rate_fn(age, year))
             cells.append(MortalityCell(age=int(age), year=int(year), deaths=float(rate * exposure), exposure=float(exposure)))
-    return MortalityTable(cells, **labels)
+    return MortalityTable(cells)
 
 
 def simulate_gp_table(ages, years, hp, seed, mean=-4.0, family=KernelFamily.SQUARED_EXPONENTIAL, exposure=1e7):

@@ -28,7 +28,7 @@ from mortgp import (
     fit_gls_xy,
     fit_mle,
     load_model,
-    log_marginal_likelihood_xy,
+    log_marginal_likelihood,
     predict,
     predict_observation,
     predict_year_derivative,
@@ -376,7 +376,7 @@ class TestLogMarginalLikelihood:
         r = 0.4
         v = hp.eta_sq + hp.sigma_sq
         expected = -(r**2) / (2 * v) - math.log(v) / 2 - math.log(2 * math.pi) / 2
-        value = log_marginal_likelihood_xy([[0.0, 0.0]], [r], SQEXP, hp, basis=None)
+        value = fit_gls_xy([[0.0, 0.0]], [r], SQEXP, hp, basis=None).log_likelihood
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dense_determinant_oracle(self):
@@ -394,7 +394,7 @@ class TestLogMarginalLikelihood:
                 beta = np.linalg.inv(h.T @ a_inv @ h) @ h.T @ a_inv @ y
                 resid = y - h @ beta
             expected = -0.5 * resid @ a_inv @ resid - 0.5 * math.log(np.linalg.det(a)) - 20 * math.log(2 * math.pi)
-            value = log_marginal_likelihood_xy(x, y, SQEXP, hp, basis=basis)
+            value = fit_gls_xy(x, y, SQEXP, hp, basis=basis).log_likelihood
             assert value == pytest.approx(expected, abs=1e-8)
 
     def test_output_scaling_shifts_by_jacobian(self):
@@ -402,17 +402,21 @@ class TestLogMarginalLikelihood:
         x = rng.uniform(0, 10, size=(25, 2))
         y = rng.standard_normal(25)
         hp = KernelHyperparams(theta_ag=4.0, theta_yr=4.0, eta_sq=0.8, sigma_sq=1e-3)
-        base = log_marginal_likelihood_xy(x, y, SQEXP, hp, basis=MeanBasis.INTERCEPT)
+        base = fit_gls_xy(x, y, SQEXP, hp, basis=MeanBasis.INTERCEPT).log_likelihood
         alpha = 2.5
         hp_scaled = KernelHyperparams(hp.theta_ag, hp.theta_yr, alpha**2 * hp.eta_sq, alpha**2 * hp.sigma_sq)
-        scaled = log_marginal_likelihood_xy(x, alpha * y, SQEXP, hp_scaled, basis=MeanBasis.INTERCEPT)
+        scaled = fit_gls_xy(x, alpha * y, SQEXP, hp_scaled, basis=MeanBasis.INTERCEPT).log_likelihood
         assert scaled == pytest.approx(base - 25 * math.log(alpha), rel=1e-10)
 
-    def test_factorization_failure_returns_neg_inf_with_warning(self):
-        hp = KernelHyperparams(theta_ag=1.0, theta_yr=1.0, eta_sq=1.0, sigma_sq=0.0)
-        x = grid_inputs(3, 3)
+    def test_factorization_failure_returns_neg_inf_with_warning(self, monkeypatch):
+        def not_positive_definite(self, hp, noise_diag):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp_mod._Covariance, "__call__", not_positive_definite)
+        table = table_from_surface(range(60, 63), range(2000, 2003), lambda a, yr: -4.0)
+        hp = KernelHyperparams(theta_ag=1.0, theta_yr=1.0, eta_sq=1.0, sigma_sq=1e-2)
         with pytest.warns(UserWarning, match="likelihood evaluation failed"):
-            value = log_marginal_likelihood_xy(x, np.zeros(9), SQEXP, hp, basis=None, noise_diag=np.full(9, -2.0))
+            value = log_marginal_likelihood(table, SQEXP, hp, basis=None)
         assert value == -math.inf
 
 

@@ -27,8 +27,8 @@ from mortgp import (
     noise_diagonal,
     subset,
 )
-from mortgp.data import SUBSET_PRESETS, _center_scale
-from mortgp.means import basis_dim
+from mortgp.data import SUBSET_PRESETS
+from mortgp.means import basis_dim, design
 
 from conftest import HOLE_MASKS, simulate_gp_table, simulate_grid_table, simulate_masked_table, table_from_surface, traced_memory
 
@@ -525,7 +525,7 @@ class TestKroneckerRoute:
         # past the search box: near-constant factors have eigenvalues at roundoff,
         # some negative, and the noise is too small to lift them
         grid, dense = grid_and_dense_objectives(sim_table, family, basis)
-        sd_ag, sd_yr = _center_scale(sim_table.inputs())[1]
+        sd_ag, sd_yr = design(None, sim_table.inputs())[2]
         v = np.log([1e3 * sd_ag, 1e3 * sd_yr, 1e2, 1e-300])
         assert grid.loglik(v) == dense.loglik(v) == -math.inf
 
@@ -596,7 +596,7 @@ class TestGradient:
         table, _ = route_case(sim_table, "subset2")
         obj = row_order_objectives(table, family, MeanBasis.QUADRATIC_AGE)[1]  # reversed rows: dense
         assert obj.cov.shape is None
-        v = np.array([0.1, 0.2, 0.3, -7.0]) + np.log([*_center_scale(table.inputs())[1], 1.0, 1.0])
+        v = np.array([0.1, 0.2, 0.3, -7.0]) + np.log([*design(None, table.inputs())[2], 1.0, 1.0])
         nbytes = 8 * table.inputs().shape[0] ** 2
         obj.loglik(v)  # makes the factor's buffer
         held, peak = traced_memory(lambda: obj(v))

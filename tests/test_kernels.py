@@ -10,11 +10,8 @@ from mortgp import (
     KernelHyperparams,
     MortalityCell,
     MortalityTable,
-    cov,
     cov_matrix,
     cross_cov,
-    d2cov_dyr2,
-    dcov_dyr,
     noise_diagonal,
 )
 from mortgp import kernels
@@ -24,6 +21,11 @@ SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 MATERN = KernelFamily.MATERN52
 
 HP = KernelHyperparams(theta_ag=8.0, theta_yr=12.0, eta_sq=1.8468, sigma_sq=2.808e-4)
+
+
+def d2cross_cov_dyr2(hp, x, xs, family=SQEXP):
+    """(N, M) mixed second year-derivative of the kernel, from the ``_d2factor`` that ``predict_year_derivative`` uses."""
+    return kernels._separable(family, hp, x, xs, kernels._d2factor)
 
 
 def random_hp(rng):
@@ -96,11 +98,11 @@ class TestHyperparams:
 
 class TestCov:
     def test_equal_inputs_give_process_variance(self):
-        assert cov(SQEXP, HP, (60, 2005), (60, 2005)) == pytest.approx(1.8468, abs=0)
-        assert cov(MATERN, HP, (60, 2005), (60, 2005)) == pytest.approx(1.8468, abs=0)
+        assert cross_cov(SQEXP, HP, (60, 2005), (60, 2005))[0, 0] == pytest.approx(1.8468, abs=0)
+        assert cross_cov(MATERN, HP, (60, 2005), (60, 2005))[0, 0] == pytest.approx(1.8468, abs=0)
 
     def test_one_lengthscale_separation(self):
-        value = cov(SQEXP, HP, (60.0, 2005.0), (60.0 + HP.theta_ag, 2005.0))
+        value = cross_cov(SQEXP, HP, (60.0, 2005.0), (60.0 + HP.theta_ag, 2005.0))[0, 0]
         assert value == pytest.approx(HP.eta_sq * math.exp(-0.5), rel=1e-14)
 
     @pytest.mark.parametrize("family", [SQEXP, MATERN])
@@ -118,7 +120,7 @@ class TestCov:
                 for d, theta in (((x[0] - xp[0]), hp.theta_ag), ((x[1] - xp[1]), hp.theta_yr)):
                     r = abs(d) / theta
                     expected *= (1 + math.sqrt(5) * r + 5 * r * r / 3) * math.exp(-math.sqrt(5) * r)
-            assert cov(family, hp, x, xp) == pytest.approx(expected, rel=1e-13)
+            assert cross_cov(family, hp, x, xp)[0, 0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("family", [SQEXP, MATERN])
     def test_symmetry_exact(self, family):
@@ -126,7 +128,7 @@ class TestCov:
         for _ in range(100):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            assert cov(family, hp, x, xp) == cov(family, hp, xp, x)
+            assert cross_cov(family, hp, x, xp)[0, 0] == cross_cov(family, hp, xp, x)[0, 0]
 
     @pytest.mark.parametrize("family", [SQEXP, MATERN])
     def test_stationarity_bit_identical_under_integer_shift(self, family):
@@ -136,21 +138,21 @@ class TestCov:
             x = rng.integers(0, 50, size=2).astype(float)
             xp = rng.integers(0, 50, size=2).astype(float)
             shift = rng.integers(-30, 30, size=2).astype(float)
-            assert cov(family, hp, x, xp) == cov(family, hp, x + shift, xp + shift)
+            assert cross_cov(family, hp, x, xp)[0, 0] == cross_cov(family, hp, x + shift, xp + shift)[0, 0]
 
     def test_anisotropy(self):
-        v1 = cov(SQEXP, HP, (0.0, 0.0), (3.0, 5.0))
-        v2 = cov(SQEXP, HP, (0.0, 0.0), (5.0, 3.0))
+        v1 = cross_cov(SQEXP, HP, (0.0, 0.0), (3.0, 5.0))[0, 0]
+        v2 = cross_cov(SQEXP, HP, (0.0, 0.0), (5.0, 3.0))[0, 0]
         assert v1 != v2
         hp_iso = KernelHyperparams(theta_ag=7.0, theta_yr=7.0, eta_sq=1.0)
-        assert cov(SQEXP, hp_iso, (0.0, 0.0), (3.0, 5.0)) == cov(SQEXP, hp_iso, (0.0, 0.0), (5.0, 3.0))
+        assert cross_cov(SQEXP, hp_iso, (0.0, 0.0), (3.0, 5.0))[0, 0] == cross_cov(SQEXP, hp_iso, (0.0, 0.0), (5.0, 3.0))[0, 0]
 
     def test_bounded_by_process_variance(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            v = cov(SQEXP, hp, x, xp)
+            v = cross_cov(SQEXP, hp, x, xp)[0, 0]
             assert 0.0 < v <= hp.eta_sq
 
 
@@ -198,8 +200,8 @@ class TestCovMatrix:
             if family is SQEXP:
                 np.testing.assert_allclose(kernels.dcross_cov_dyr(hp, x, xs), dc, rtol=1e-14, atol=0.0)
                 for i, j in [(0, 0), (0, xs.shape[0] - 1), (x.shape[0] - 1, 0)]:
-                    assert dcov_dyr(hp, x[i], xs[j]) == pytest.approx(dc[i, j], rel=1e-14, abs=0.0)
-                    assert d2cov_dyr2(hp, x[i], xs[j]) == pytest.approx(d2c[i, j], rel=1e-14, abs=0.0)
+                    assert kernels.dcross_cov_dyr(hp, x[i], xs[j])[0, 0] == pytest.approx(dc[i, j], rel=1e-14, abs=0.0)
+                    assert d2cross_cov_dyr2(hp, x[i], xs[j])[0, 0] == pytest.approx(d2c[i, j], rel=1e-14, abs=0.0)
 
     def test_cross_cov_consistent_with_scalar(self):
         rng = np.random.default_rng(13)
@@ -208,7 +210,7 @@ class TestCovMatrix:
         c = cross_cov(SQEXP, HP, x, xs)
         for i in range(4):
             for j in range(3):
-                assert c[i, j] == pytest.approx(cov(SQEXP, HP, x[i], xs[j]), rel=1e-15)
+                assert c[i, j] == pytest.approx(cross_cov(SQEXP, HP, x[i], xs[j])[0, 0], rel=1e-15)
 
 
 class TestLogLengthscaleDerivative:
@@ -225,10 +227,10 @@ class TestLogLengthscaleDerivative:
 
 class TestYearDerivatives:
     def test_zero_year_gap_kills_first_derivative(self):
-        assert dcov_dyr(HP, (60.0, 2005.0), (75.0, 2005.0)) == 0.0
+        assert kernels.dcross_cov_dyr(HP, (60.0, 2005.0), (75.0, 2005.0))[0, 0] == 0.0
 
     def test_second_derivative_at_origin(self):
-        assert d2cov_dyr2(HP, (60.0, 2005.0), (60.0, 2005.0)) == pytest.approx(HP.eta_sq / HP.theta_yr**2, rel=1e-14)
+        assert d2cross_cov_dyr2(HP, (60.0, 2005.0), (60.0, 2005.0))[0, 0] == pytest.approx(HP.eta_sq / HP.theta_yr**2, rel=1e-14)
 
     def test_first_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(14)
@@ -236,8 +238,8 @@ class TestYearDerivatives:
         for _ in range(1000):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            fd = (cov(SQEXP, hp, x, xp + [0, h]) - cov(SQEXP, hp, x, xp - [0, h])) / (2 * h)
-            analytic = dcov_dyr(hp, x, xp)
+            fd = (cross_cov(SQEXP, hp, x, xp + [0, h])[0, 0] - cross_cov(SQEXP, hp, x, xp - [0, h])[0, 0]) / (2 * h)
+            analytic = kernels.dcross_cov_dyr(hp, x, xp)[0, 0]
             assert abs(analytic - fd) / (abs(analytic) + 1e-12) < 1e-5
 
     def test_second_derivative_matches_finite_difference_of_first(self):
@@ -246,15 +248,15 @@ class TestYearDerivatives:
         for _ in range(1000):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            fd = (dcov_dyr(hp, x + [0, h], xp) - dcov_dyr(hp, x - [0, h], xp)) / (2 * h)
-            analytic = d2cov_dyr2(hp, x, xp)
+            fd = (kernels.dcross_cov_dyr(hp, x + [0, h], xp)[0, 0] - kernels.dcross_cov_dyr(hp, x - [0, h], xp)[0, 0]) / (2 * h)
+            analytic = d2cross_cov_dyr2(hp, x, xp)[0, 0]
             assert abs(analytic - fd) / (abs(analytic) + 1e-12) < 1e-5
 
     def test_matern_rejected(self):
         with pytest.raises(NotImplementedError, match="matern52"):
-            dcov_dyr(HP, (60, 2005), (61, 2006), family=MATERN)
+            kernels.dcross_cov_dyr(HP, (60, 2005), (61, 2006), family=MATERN)
         with pytest.raises(NotImplementedError, match="matern52"):
-            d2cov_dyr2(HP, (60, 2005), (61, 2006), family=MATERN)
+            d2cross_cov_dyr2(HP, (60, 2005), (61, 2006), family=MATERN)
 
 
 class TestNoiseModels:
