@@ -223,7 +223,7 @@ def cmd_improve(args) -> int:
         else:
             ages = np.unique(gp.x[:, 0]).astype(int)
         if args.kind == "back":
-            curve = imp_mod.mi_back_gp(gp, ages, args.year, n_samples=args.n_samples, seed=args.seed, level=args.level)
+            curve = imp_mod.mi_back_gp(gp, ages, args.year, level=args.level)
         elif args.kind == "diff":
             curve = imp_mod.mi_diff_gp(gp, ages, args.year, level=args.level)
         else:
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--ages", type=_parse_range, default=None, metavar="A0-A1")
     p.add_argument("--h", type=float, default=1.0, help="step for --kind centered")
-    p.add_argument("--n-samples", type=int, default=10_000)
+    p.add_argument("--n-samples", type=int, default=10_000, help="no effect; kept so older scripts still parse")
     p.set_defaults(func=cmd_improve, level=0.80)
 
     p = sub.add_parser("sample", help="joint posterior trajectories across ages")

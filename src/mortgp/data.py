@@ -66,12 +66,11 @@ class MortalityTable:
 
     def __init__(self, cells: Iterable[MortalityCell]):
         ordered = sorted(cells, key=lambda c: (c.year, c.age))
-        seen = set()
+        self._index = {}
         for c in ordered:
-            key = (c.age, c.year)
-            if key in seen:
+            if (c.age, c.year) in self._index:
                 raise ValueError(f"duplicate cell for age {c.age}, year {c.year}")
-            seen.add(key)
+            self._index[(c.age, c.year)] = c
         self._cells = tuple(ordered)
         n_zero = sum(1 for c in ordered if not c.trainable)
         if n_zero:
@@ -112,18 +111,17 @@ class MortalityTable:
         return np.array(sorted({c.year for c in self._cells}), dtype=int)
 
     def cell(self, age: int, year: int) -> MortalityCell:
-        for c in self._cells:
-            if c.age == age and c.year == year:
-                return c
-        raise KeyError(f"no cell for age {age}, year {year}")
+        try:
+            return self._index[(age, year)]
+        except KeyError:
+            raise KeyError(f"no cell for age {age}, year {year}") from None
 
     def has_cell(self, age: int, year: int) -> bool:
-        return any(c.age == age and c.year == year for c in self._cells)
+        return (age, year) in self._index
 
     def merge(self, other: "MortalityTable") -> "MortalityTable":
         """Union of two tables with disjoint (age, year) cells."""
-        mine = {(c.age, c.year) for c in self._cells}
-        clash = [k for k in ((c.age, c.year) for c in other) if k in mine]
+        clash = [k for k in ((c.age, c.year) for c in other) if k in self._index]
         if clash:
             raise ValueError(f"tables overlap on {len(clash)} cell(s), first at (age,year)={clash[0]}")
         return MortalityTable(self._cells + other.cells)

@@ -4,7 +4,7 @@ Four curve kinds over a fixed calendar year, indexed by age:
 
 * ``observed``   -- raw year-over-year factors 1 - m(yr)/m(yr-1) from the data;
 * ``backward_gp`` -- the same ratio 1 - exp(d) for the latent year difference
-  d = f(yr) - f(yr-1), drawn from its exact 1-D posterior, by Monte Carlo;
+  d = f(yr) - f(yr-1), exact from d's Gaussian posterior (log-normal moments);
 * ``centered``   -- the symmetric difference quotient of the latent surface at
   yr +/- h, an exact Gaussian linear functional;
 * ``derivative_gp`` -- the instantaneous improvement, minus the analytic
@@ -50,15 +50,6 @@ class ImprovementCurve:
                 raise ValueError("improvement sd must be non-negative")
 
 
-def backward_ratio_samples(mean: np.ndarray, sd: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """(A, n_samples) draws of 1 - exp(d) for year differences d ~ N(mean, sd**2), one row per age."""
-    draws = rng.standard_normal((mean.size, n_samples))
-    draws *= sd[:, None]
-    draws += mean[:, None]
-    np.exp(draws, out=draws)
-    return np.subtract(1.0, draws, out=draws)
-
-
 def _gaussian_curve(ages: np.ndarray, year: float, kind: str, mean: np.ndarray, sd: np.ndarray, level: float) -> ImprovementCurve:
     z = _quantile_z(level)
     return ImprovementCurve(
@@ -89,29 +80,23 @@ def mi_back_observed(table: MortalityTable, year: int, ages=None) -> Improvement
     return ImprovementCurve(ages=np.array(kept), year=year, kind="observed", mean=np.array(values))
 
 
-def mi_back_gp(
-    gp: FittedGP,
-    ages,
-    year: int,
-    n_samples: int = 10_000,
-    seed: int = 0,
-    level: float = 0.80,
-) -> ImprovementCurve:
-    """Posterior year-over-year improvement, summarized by Monte Carlo.
+def mi_back_gp(gp: FittedGP, ages, year: int, level: float = 0.80) -> ImprovementCurve:
+    """Posterior year-over-year improvement 1 - exp(d), exact.
 
-    Each age draws the exact posterior of the one-dimensional year difference
-    f(age, year) - f(age, year - 1); bands are pointwise empirical quantiles
-    of the draws.
+    Each age's year difference d = f(age, year) - f(age, year - 1) has an
+    exact Gaussian posterior N(mu, s^2), so exp(d) is log-normal: the mean is
+    1 - exp(mu + s^2/2), the sd exp(mu + s^2/2) sqrt(expm1(s^2)), and the band
+    maps d's quantiles mu -/+ z s through the decreasing 1 - exp, so d's upper
+    quantile gives the factor's lower bound.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    _quantile_z(level)  # rejects a level outside (0, 1) before any work
+    z = _quantile_z(level)
     ages = np.asarray(ages, dtype=float)
     mu, var = gp_mod._year_difference(gp, ages, year - 1, year)
-    draws = backward_ratio_samples(mu, np.sqrt(var), n_samples, np.random.default_rng(seed))
-    lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1)
-    mean, sd = draws.mean(axis=1), draws.std(axis=1, ddof=1)
-    return ImprovementCurve(ages=ages.astype(int), year=year, kind="backward_gp", mean=mean, sd=sd, level=level, lo=lo, hi=hi)
+    ratio = np.exp(mu + var / 2.0)  # E[exp(d)]
+    sd = ratio * np.sqrt(np.expm1(var))
+    half_width = z * np.sqrt(var)  # of d's band
+    lo, hi = 1.0 - np.exp(mu + half_width), 1.0 - np.exp(mu - half_width)
+    return ImprovementCurve(ages=ages.astype(int), year=year, kind="backward_gp", mean=1.0 - ratio, sd=sd, level=level, lo=lo, hi=hi)
 
 
 def mi_centered(gp: FittedGP, ages, year: float, h: float, level: float = 0.80) -> ImprovementCurve:

@@ -127,20 +127,24 @@ class TestDownstreamCommands:
 
     @pytest.mark.parametrize("kind", ["back", "diff", "centered"])
     def test_improve_model_kinds(self, model_dir, tmp_path, kind):
+        base = [
+            "improve", "--model", str(model_dir / "model.json"),
+            "--kind", kind, "--year", "2010", "--ages", "50-70", "--level", "0.80",
+        ]
         out = tmp_path / kind
-        rc = main(
-            [
-                "improve", "--model", str(model_dir / "model.json"),
-                "--kind", kind, "--year", "2010", "--ages", "50-70",
-                "--level", "0.80", "--seed", "2", "--out", str(out),
-            ]
-        )
+        rc = main(base + ["--seed", "2", "--out", str(out)])
         assert rc == 0
         rows = read_csv(out / "improvement.csv")
         assert len(rows) == 21
         for row in rows:
             assert row["kind"] in ("backward_gp", "derivative_gp", "centered")
             assert float(row["lo"]) <= float(row["mean"]) <= float(row["hi"])
+        if kind == "back":  # exact: --n-samples and --seed are parsed but change no byte
+            written = []
+            for i, extra in enumerate([[], ["--n-samples", "10000"], ["--n-samples", "2", "--seed", "7"]]):
+                assert main(base + extra + ["--out", str(tmp_path / f"back{i}")]) == 0
+                written.append((tmp_path / f"back{i}" / "improvement.csv").read_bytes())
+            assert written[0] == written[1] == written[2] == (out / "improvement.csv").read_bytes()
 
     def test_improve_observed(self, data_csv, tmp_path):
         out = tmp_path / "obs"

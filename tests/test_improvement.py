@@ -17,9 +17,10 @@ from mortgp import (
     mi_diff_gp,
     predict,
 )
-from mortgp.improvement import backward_ratio_samples
+from mortgp import gp as gp_mod
+from mortgp.gp import _quantile_z
 
-from conftest import table_from_surface
+from conftest import simulate_grid_table, table_from_surface
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 MATERN = KernelFamily.MATERN52
@@ -66,54 +67,98 @@ class TestObserved:
         gp = fit_gls(table, SQEXP, hp)
         ages = range(50, 80)
         observed = mi_back_observed(table, 2010, ages=ages)
-        smoothed = mi_back_gp(gp, list(ages), 2010, n_samples=2000, seed=1)
+        smoothed = mi_back_gp(gp, list(ages), 2010)
         assert observed.mean.std() > 2 * smoothed.mean.std()
         assert observed.sd is None and smoothed.sd is not None
 
 
 class TestBackwardGP:
-    def test_degenerate_posterior_with_equal_means_is_exactly_zero(self):
+    def test_degenerate_posterior_with_equal_means_is_exactly_zero(self, monkeypatch):
         # equal means in the two years give a year difference of exactly 0
-        draws = backward_ratio_samples(np.array([0.0, 0.0]), np.zeros(2), 100, np.random.default_rng(0))
-        np.testing.assert_array_equal(draws, np.zeros((2, 100)))
+        gp, _ = linear_trend_gp()
+        monkeypatch.setattr(gp_mod, "_year_difference", lambda gp, ages, lo, hi: (np.zeros(len(ages)), np.zeros(len(ages))))
+        curve = mi_back_gp(gp, [55, 60], 2008)
+        for values in (curve.mean, curve.sd, curve.lo, curve.hi):
+            np.testing.assert_array_equal(values, np.zeros(2))
 
     def test_deterministic_trend_limit(self):
         gp, _ = linear_trend_gp(slope=-0.014)
-        curve = mi_back_gp(gp, [58, 62], 2008, n_samples=4000, seed=2)
+        curve = mi_back_gp(gp, [58, 62], 2008)
         assert curve.mean == pytest.approx(1.0 - math.exp(-0.014), rel=5e-3)
-
-    def test_monte_carlo_mean_stable_under_doubling(self):
-        gp, _ = linear_trend_gp(slope=-0.012, sigma_sq=2e-4)
-        c1 = mi_back_gp(gp, [60], 2015, n_samples=10_000, seed=3)
-        c2 = mi_back_gp(gp, [60], 2015, n_samples=20_000, seed=4)
-        mcse = c1.sd[0] / math.sqrt(10_000)
-        assert abs(c1.mean[0] - c2.mean[0]) < 3 * mcse
-
-    def test_deterministic_given_seed(self):
-        gp, _ = linear_trend_gp(sigma_sq=1e-4)
-        c1 = mi_back_gp(gp, [55, 60], 2013, n_samples=500, seed=9)
-        c2 = mi_back_gp(gp, [55, 60], 2013, n_samples=500, seed=9)
-        np.testing.assert_array_equal(c1.mean, c2.mean)
-        np.testing.assert_array_equal(c1.lo, c2.lo)
 
     def test_far_future_reverts_to_zero_improvement(self):
         table = table_from_surface(range(50, 70), range(2000, 2012), lambda a, y: -4.0 + 0.02 * a)
         hp = KernelHyperparams(theta_ag=8.0, theta_yr=10.0, eta_sq=0.5, sigma_sq=1e-4)
         gp = fit_gls(table, SQEXP, hp, basis=MeanBasis.INTERCEPT)
-        curve = mi_back_gp(gp, [60], 2300, n_samples=20_000, seed=5)
+        curve = mi_back_gp(gp, [60], 2300)
         assert abs(curve.mean[0]) < 0.01
 
     def test_band_ordering(self):
         gp, _ = linear_trend_gp(sigma_sq=2e-4)
-        curve = mi_back_gp(gp, list(range(52, 68)), 2011, n_samples=2000, seed=6, level=0.8)
+        curve = mi_back_gp(gp, list(range(52, 68)), 2011, level=0.8)
         assert np.all(curve.lo <= curve.mean) and np.all(curve.mean <= curve.hi)
+
+
+def routed_gp(family, route):
+    """A fit to a simulated 12 x 10 grid that takes the named whitener route."""
+    hp = KernelHyperparams(theta_ag=8.0, theta_yr=4.0, eta_sq=0.3, sigma_sq=4e-4)
+    table = simulate_grid_table(range(50, 62), range(2000, 2010), hp, seed=14)
+    if route == "holes":  # part of the last year missing
+        table = MortalityTable([c for c in table if not (c.year == 2009 and c.age > 55)])
+    if route == "dense":  # a non-constant noise diagonal
+        noise = hp.sigma_sq * np.linspace(0.5, 2.0, len(table))
+        gp = fit_gls_xy(table.inputs(), table.responses(), family, hp, basis=MeanBasis.LINEAR, noise_diag=noise)
+    else:
+        gp = fit_gls(table, family, hp, basis=MeanBasis.LINEAR)
+    grid = isinstance(gp.whitener, gp_mod._GridWhitener)
+    assert {"grid": grid and gp.whitener.cells is None, "holes": grid and gp.whitener.cells is not None, "dense": not grid}[route]
+    return gp
+
+
+class TestBackwardClosedForm:
+    @pytest.mark.parametrize("route", ["grid", "holes", "dense"])
+    @pytest.mark.parametrize("family", [SQEXP, MATERN], ids=["sqexp", "matern52"])
+    def test_matches_log_normal_moments_of_joint_posterior(self, family, route):
+        gp = routed_gp(family, route)
+        ages = np.arange(50, 62)
+        z = _quantile_z(0.9)
+        for year in (2005, 2009, 2012):
+            post = predict(gp, np.vstack([np.column_stack([ages, np.full(12, y)]) for y in (year - 1, year)]), want_covariance=True)
+            c = post.covariance
+            mu = post.mean[12:] - post.mean[:12]
+            var = np.diag(c)[12:] + np.diag(c)[:12] - 2.0 * np.diag(c[:12, 12:])
+            curve = mi_back_gp(gp, ages, year, level=0.9)
+            np.testing.assert_allclose(curve.mean, 1.0 - np.exp(mu + var / 2), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(curve.sd, np.exp(mu + var / 2) * np.sqrt(np.expm1(var)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(curve.lo, 1.0 - np.exp(mu + z * np.sqrt(var)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(curve.hi, 1.0 - np.exp(mu - z * np.sqrt(var)), rtol=0, atol=1e-12)
+
+    def test_agrees_with_sampling_oracle(self, monkeypatch):
+        # draws of d ~ N(mu, s^2) made here, sharing no formula with the closed form
+        mu, var = np.array([-0.02, 0.01, 0.0, -0.3]), np.array([1e-4, 0.01, 0.09, 0.25])
+        gp, _ = linear_trend_gp()
+        monkeypatch.setattr(gp_mod, "_year_difference", lambda gp, ages, lo, hi: (mu, var))
+        level, n = 0.8, 200_000
+        curve = mi_back_gp(gp, [50, 51, 52, 53], 2008, level=level)
+        d = mu[:, None] + np.sqrt(var)[:, None] * np.random.default_rng(14).standard_normal((4, n))
+        factor = 1.0 - np.exp(d)
+        sd = factor.std(axis=1, ddof=1)
+        se_var = ((factor - factor.mean(axis=1, keepdims=True)) ** 2).std(axis=1) / math.sqrt(n)
+        assert np.all(np.abs(curve.mean - factor.mean(axis=1)) < 5 * sd / math.sqrt(n))
+        assert np.all(np.abs(curve.sd - sd) < 5 * se_var / (2 * sd))
+        # each band edge cuts off (1 - level)/2 of the draws; lo is d's upper tail
+        tail, se_tail = (1 - level) / 2, math.sqrt((1 - level) / 2 * (1 + level) / 2 / n)
+        assert np.all(curve.lo < curve.hi)
+        assert np.all(np.abs((factor < curve.lo[:, None]).mean(axis=1) - tail) < 5 * se_tail)
+        assert np.all(np.abs((d > np.log1p(-curve.lo)[:, None]).mean(axis=1) - tail) < 5 * se_tail)
+        assert np.all(np.abs((factor > curve.hi[:, None]).mean(axis=1) - tail) < 5 * se_tail)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
 @pytest.mark.parametrize(
     "curve",
     [
-        lambda gp, level: mi_back_gp(gp, [60], 2008, n_samples=100, level=level),
+        lambda gp, level: mi_back_gp(gp, [60], 2008, level=level),
         lambda gp, level: mi_diff_gp(gp, [60], 2008, level=level),
         lambda gp, level: mi_centered(gp, [60], 2008, h=1.0, level=level),
     ],
