@@ -119,13 +119,6 @@ class MortalityTable:
     def has_cell(self, age: int, year: int) -> bool:
         return (age, year) in self._index
 
-    def merge(self, other: "MortalityTable") -> "MortalityTable":
-        """Union of two tables with disjoint (age, year) cells."""
-        clash = [k for k in ((c.age, c.year) for c in other) if k in self._index]
-        if clash:
-            raise ValueError(f"tables overlap on {len(clash)} cell(s), first at (age,year)={clash[0]}")
-        return MortalityTable(self._cells + other.cells)
-
     def save(self, target: Union[str, Path, IO[str]]) -> None:
         save_table(self, target)
 

@@ -20,9 +20,9 @@ W^T W = A^-1, and no explicit matrix inverse is ever formed.  It has two kinds:
   cells and Pi projects out the m columns of W_f at them, and
   log|A| = log|A_f| + log|M| for M, their m x m Gram matrix.  This is the
   exact small-m counterpart of Wilson et al.'s imaginary observations.  No
-  n x n array is built.  When the grid is full and a query set is itself a
-  full grid, the cross-covariance factors as K_yr(., ys) (x) K_ag(., as) too
-  and stays factored through conditioning; other queries are whitened with
+  n x n array is built.  A query set that is itself such a grid, with holes or
+  none, gets the factored covariance K_yr(., ys) (x) K_ag(., as) with the whole
+  grid, kept factored through conditioning; other queries are whitened with
   two reshaped matrix products.
 * dense: otherwise (more than n / 4 cells missing, delta-method noise,
   jittered fits), or when an eigenvalue of the grid covariance is not
@@ -320,14 +320,15 @@ class FittedGP:
 
 
 def _grid_cells(axes):
-    """``((years, ages), cells)`` when the rows ``kernels._axes`` describes are distinct (age, year) cells in
-    (year, age) order: the counts of the grid of their distinct ages and years, and the rows' positions among its
-    cells, None when the rows are all of them.  None when rows repeat a cell or are out of that order."""
+    """``((years, ages), cells)`` when the n rows ``kernels._axes`` describes are a grid: distinct (age, year) cells
+    in (year, age) order that miss at most ``MAX_MISSING_SHARE`` * n cells of the grid of their distinct ages and
+    years.  Gives the counts of that grid and the rows' positions among its cells, None when the rows are all of
+    them; None when rows repeat a cell, are out of that order or miss more cells."""
     (ages, ia), (years, iy) = axes
-    cells = ia + ages.size * iy
-    if not cells.size or np.any(np.diff(cells) <= 0):
+    cells, size = ia + ages.size * iy, ages.size * years.size
+    if not cells.size or np.any(np.diff(cells) <= 0) or size - cells.size > MAX_MISSING_SHARE * cells.size:
         return None
-    return (years.size, ages.size), (None if cells.size == ages.size * years.size else cells)
+    return (years.size, ages.size), (None if cells.size == size else cells)
 
 
 def _jitter(hp: KernelHyperparams, noise_diag: np.ndarray) -> float:
@@ -357,10 +358,7 @@ class _Covariance:
     def __init__(self, family: KernelFamily, x: np.ndarray):
         self.family = family
         self.axes = kernels._axes(x)
-        grid, n = _grid_cells(self.axes), self.axes[0][1].size
-        if grid is not None and grid[1] is not None and math.prod(grid[0]) - n > MAX_MISSING_SHARE * n:
-            grid = None
-        self.shape, self.cells = grid or (None, None)
+        self.shape, self.cells = _grid_cells(self.axes) or (None, None)
         self.buffer = self.grad_buffer = None
 
     def dense(self, hp: KernelHyperparams, noise_diag: np.ndarray) -> np.ndarray:
@@ -518,32 +516,30 @@ def _cross(gp: FittedGP, xs: np.ndarray, year_factor):
     The functionals map the surface in the year coordinate only, so the
     covariance is eta^2 k_ag(d_ag) ``year_factor(family, d_yr, theta_yr)``
     (``kernels._factor`` for point values): the (n, M) gather of the two
-    tables, or, when the model has the grid whitener with no missing cells and
-    xs is itself a full grid, the tables as the factors ``(c_yr, c_ag)`` of
-    c = c_yr (x) c_ag.
+    tables, or, when the model has the grid whitener (holes or none) and
+    ``_grid_cells`` takes xs, ``(c_yr, c_ag, cells)``: the tables as the factors
+    of c_full = c_yr (x) c_ag over the model's whole grid and xs's bounding
+    grid, and xs's positions among its cells, None when xs is all of them.
     """
     axes, q_axes = kernels._axes(gp.x), kernels._axes(xs)
     c_ag, c_yr = kernels._tables(gp.family, gp.hp, axes, q_axes, year_factor)
-    q_grid = _grid_cells(q_axes)
-    if isinstance(gp.whitener, _GridWhitener) and gp.whitener.cells is None and q_grid is not None and q_grid[1] is None:
-        return c_yr, c_ag
-    return kernels._gather(c_ag, c_yr, axes, q_axes)
+    q_grid = isinstance(gp.whitener, _GridWhitener) and _grid_cells(q_axes)
+    return (c_yr, c_ag, q_grid[1]) if q_grid else kernels._gather(c_ag, c_yr, axes, q_axes)
 
 
-def _whiten_kron(w: _GridWhitener, c_yr: np.ndarray, c_ag: np.ndarray, b: Optional[np.ndarray], want_gram: bool):
-    """diag(v^T v), b^T v and (if wanted) v^T v for v = W (c_yr (x) c_ag), never forming v.
+def _whiten_kron(w: _GridWhitener, c_yr: np.ndarray, c_ag: np.ndarray, b: np.ndarray, want_gram: bool):
+    """diag(v^T v), b^T v and (if wanted) v^T v for v = W_f (c_yr (x) c_ag) and an (N, k) b, never forming v.
 
     v = diag(s) (p (x) r) with p = Q_yr^T c_yr, r = Q_ag^T c_ag and s = D^-1/2,
-    so each product is a few matmuls over the (year, age) axes.
+    so each product is a few matmuls over the (year, age) axes.  With missing cells b holds U too (``_condition``).
     """
     p, r, inv_d = w.q_yr.T @ c_yr, w.q_ag.T @ c_ag, 1.0 / w.d
     sq_norms = ((p * p).T @ inv_d @ (r * r)).ravel()
-    bv = gram = None
-    if b is not None:
-        n_yr, n_ag = w.shape
-        bs = b.reshape(n_yr, n_ag, -1) / w.sqrt_d.reshape(n_yr, n_ag, 1)
-        t = (p.T @ bs.reshape(n_yr, -1)).reshape(p.shape[1], n_ag, -1)  # (Yq, A, k)
-        bv = (t.transpose(0, 2, 1) @ r).transpose(1, 0, 2).reshape(bs.shape[2], -1)
+    n_yr, n_ag = w.shape
+    bs = b.reshape(n_yr, n_ag, -1) / w.sqrt_d.reshape(n_yr, n_ag, 1)
+    t = (p.T @ bs.reshape(n_yr, -1)).reshape(p.shape[1], n_ag, -1)  # (Yq, A, k)
+    bv = (t.transpose(0, 2, 1) @ r).transpose(1, 0, 2).reshape(bs.shape[2], sq_norms.size)
+    gram = None
     if want_gram:
         t = np.einsum("ik,im,ij->kmj", p, p, inv_d)  # (Yq, Yq, A)
         m = sq_norms.size
@@ -560,18 +556,28 @@ def _condition(gp: FittedGP, c, hs: np.ndarray, prior_var, prior_cov: Optional[n
     ``(mean, var, cov)``; with v = W c, u = hs^T - H_white^T v and G the GLS
     normal matrix, the posterior covariance is prior - v^T v + w^T w with
     w = L^-1 u for G = L L^T, and ``cov`` is it when the (M, M) ``prior_cov``
-    is given, else None.
+    is given, else None.  From grid factors, v = Pi W_f c_full as Pi W_m = 0
+    (*GPML* §A.3): the mean is c_full^T P alpha, H_white^T v = H_white^T W_f c_full
+    as Pi H_white = H_white, and v^T v = (W_f c_full)^T W_f c_full - t^T t for
+    t = U^T W_f c_full, all over the bounding grid, whose cells are then selected.
     """
     want_cov = prior_cov is not None
-    h_white = gp.H_white if gp.basis is not None else None
     if isinstance(c, tuple):
-        mean = (c[0].T @ gp.alpha.reshape(gp.whitener.shape) @ c[1]).ravel()
-        sq_norms, hv, vtv = _whiten_kron(gp.whitener, *c, h_white, want_cov)
+        grid, (c_yr, c_ag, cells) = gp.whitener, c
+        mean = (c_yr.T @ grid._pad(gp.alpha).reshape(grid.shape) @ c_ag).ravel()
+        b = gp.H_white if grid.u is None else np.hstack([gp.H_white, grid.u])
+        sq_norms, bv, vtv = _whiten_kron(grid, c_yr, c_ag, b, want_cov)
+        hv, t = np.split(bv, [gp.H_white.shape[1]])
+        sq_norms -= np.einsum("ij,ij->j", t, t)
+        vtv = vtv - t.T @ t if want_cov else None
+        if cells is not None:
+            mean, sq_norms, hv = mean[cells], sq_norms[cells], hv[:, cells]
+            vtv = vtv[np.ix_(cells, cells)] if want_cov else None
     else:
         v = gp.whitener.whiten(c)
         mean = c.T @ gp.alpha
         sq_norms = np.einsum("ij,ij->j", v, v)
-        hv = h_white.T @ v if h_white is not None else None
+        hv = gp.H_white.T @ v
         vtv = v.T @ v if want_cov else None
     var = prior_var - sq_norms
     cov = prior_cov - vtv if want_cov else None

@@ -12,7 +12,7 @@ import mortgp
 import mortgp.gp as gp_mod
 from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model, subset
 from mortgp.cli import build_parser, main
-from mortgp.data import SUBSET_PRESETS
+from mortgp.data import SUBSET_PRESETS, SubsetSpec
 
 from conftest import table_from_surface, traced_memory
 
@@ -245,22 +245,33 @@ class TestDownstreamCommands:
 
 
 class TestGridModelMemory:
-    """A full-grid, constant-noise model goes through every command without an n x n array."""
+    """A constant-noise model on a grid, full or with holes, goes through every command without an n x n array."""
 
     AGES, YEARS = range(0, 50), range(1975, 2015)
     N_BY_N = (len(AGES) * len(YEARS)) ** 2 * 8  # bytes of one n x n float array, 32 MB
+    # the same grid without ages 31-49 in 2011-2014: n = 1924 and m = 76; U is N x m, so a quarter is too tight
+    HOLES = SubsetSpec(blocks=(((1975, 2010), (0, 49)), ((2011, 2014), (0, 30))))
+    HOLES_N_BY_N = (len(AGES) * len(YEARS) - 19 * 4) ** 2 * 8
 
-    @pytest.fixture(scope="class")
-    def grid_files(self, tmp_path_factory):
+    @classmethod
+    def model_files(cls, root, spec=None):
         def f(age, year):
             return -9.0 + 0.08 * age - 0.012 * (year - 1975) + 0.02 * np.sin(0.7 * age + 0.3 * year)
 
-        root = tmp_path_factory.mktemp("grid")
-        table = table_from_surface(self.AGES, self.YEARS, f)
+        table = table_from_surface(cls.AGES, cls.YEARS, f)
         hp = KernelHyperparams(theta_ag=15.8, theta_yr=15.5, eta_sq=1.85, sigma_sq=2.8e-4)
-        save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
-        table_from_surface(self.AGES, [2015], f).save(root / "new.csv")
+        model = fit_gls(table if spec is None else subset(table, spec), KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE)
+        save_model(model, root / "model.json")
+        table_from_surface(cls.AGES, [2015], f).save(root / "new.csv")
         return root
+
+    @pytest.fixture(scope="class")
+    def grid_files(self, tmp_path_factory):
+        return self.model_files(tmp_path_factory.mktemp("grid"))
+
+    @pytest.fixture(scope="class")
+    def holes_files(self, tmp_path_factory):
+        return self.model_files(tmp_path_factory.mktemp("holes"), self.HOLES)
 
     COMMANDS = {
         "smooth": ["smooth"],
@@ -272,16 +283,29 @@ class TestGridModelMemory:
         "update": ["update", "--new-data", "new.csv"],
     }
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_command_peak_below_an_n_by_n_array(self, grid_files, tmp_path, command):
-        args = [str(grid_files / a) if a.endswith(".csv") else a for a in self.COMMANDS[command]]
-        argv = args[:1] + ["--model", str(grid_files / "model.json"), "--out", str(tmp_path)] + args[1:]
+    def command_peak(self, files, out, command):
+        args = [str(files / a) if a.endswith(".csv") else a for a in self.COMMANDS[command]]
+        argv = args[:1] + ["--model", str(files / "model.json"), "--out", str(out)] + args[1:]
         codes = []
         _, peak = traced_memory(lambda: codes.append(main(argv)))
-        assert codes == [0] and peak < self.N_BY_N / 4
+        assert codes == [0]
+        return peak
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_peak_below_an_n_by_n_array(self, grid_files, tmp_path, command):
+        assert self.command_peak(grid_files, tmp_path, command) < self.N_BY_N / 4
 
     def test_load_model_peak_below_an_n_by_n_array(self, grid_files):
         assert traced_memory(lambda: load_model(grid_files / "model.json"))[1] < self.N_BY_N / 4
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_with_holes_peak_below_half_an_n_by_n_array(self, holes_files, tmp_path, command):
+        assert self.command_peak(holes_files, tmp_path, command) < self.HOLES_N_BY_N / 2
+
+    def test_load_model_with_holes_peak_below_half_an_n_by_n_array(self, holes_files):
+        models = []
+        assert traced_memory(lambda: models.append(load_model(holes_files / "model.json")))[1] < self.HOLES_N_BY_N / 2
+        assert models[0].n == 1924 and models[0].whitener.u.shape == (2000, 76)
 
 
 # valid arguments, apart from --level, for every command that takes --level

@@ -88,12 +88,6 @@ class TestMortalityTable:
         t2 = MortalityTable(list(reversed(cells)))
         assert t1 == t2
 
-    def test_merge_rejects_overlap(self):
-        t1 = make_grid([2000], [60, 61])
-        t2 = make_grid([2000], [61, 62])
-        with pytest.raises(ValueError, match="overlap"):
-            t1.merge(t2)
-
 
 class TestLoadSave:
     CSV = "age,year,deaths,exposure\n50,2011,722,100000\n51,2011,800,100000\n"

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import mortgp.gp as gp_mod
+import mortgp.kernels as kernels_mod
 from mortgp import (
     ConstantNoise,
     DeltaMethodNoise,
@@ -454,9 +455,11 @@ def assert_routes_agree(grid, dense, ages, years, seed=0):
     # within the data's ages: a quadratic trend extrapolated far in age has variances of 1e5,
     # where float64 roundoff alone exceeds 1e-10 absolute
     scattered = np.column_stack([rng.uniform(ages[0], ages[-1], 6), rng.uniform(years[0], last + 5, 6)])
+    forecast = np.array([[a, y] for y in (last + 1, last + 4) for a in ages])
     queries = [
         (grid.x, False),  # the training cells: a grid query
-        (np.array([[a, y] for y in (last + 1, last + 4) for a in ages]), True),  # a forecast grid
+        (forecast, True),  # a forecast grid
+        (forecast[1:], True),  # a grid with a hole: its cells are selected from the bounding grid's posterior
         (scattered, True),  # not a grid: the cross-covariance is whitened densely
     ]
     for xs, want_covariance in queries:
@@ -631,6 +634,24 @@ class TestGridWhitenerWithHoles:
         gp = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.QUADRATIC_AGE)
         assert not is_grid(gp) and gp.jitter == 0.0
         assert gp.log_likelihood == pytest.approx(expected.log_likelihood, rel=1e-8)
+
+    def test_grid_queries_gather_no_cross_covariance(self, monkeypatch):
+        # grid-shaped queries on a model with holes stay in the Kronecker factors; scattered ones gather (n, M)
+        ages, _, _ = HOLE_MASKS["subset2"]
+        x, y = masked_xy("subset2")
+        gp = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.QUADRATIC_AGE)
+        assert has_holes(gp)
+
+        def no_gather(*args, **kwargs):
+            raise AssertionError("gathered a cross-covariance")
+
+        monkeypatch.setattr(kernels_mod, "_gather", no_gather)
+        predict(gp, x)
+        predict(gp, np.array([[a, yr] for yr in (2015, 2016, 2017) for a in ages]))
+        predict_year_derivative(gp, np.array([[a, 2014] for a in ages]))
+        _year_difference(gp, np.asarray(ages), 2013, 2014)
+        with pytest.raises(AssertionError, match="gathered"):
+            predict(gp, np.array([[60.5, 2014.5], [70.0, 2020.0]]))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_solve_matches_dense_route(self, k):

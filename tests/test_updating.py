@@ -72,7 +72,7 @@ class TestUpdate:
     def test_overlapping_cells_rejected(self, tables):
         _, base, _ = tables
         gp = fit_gls(base, SQEXP, HP)
-        overlap = subset(base.merge(MortalityTable([])), SubsetSpec.rectangle((2010, 2010), (50, 55)))
+        overlap = subset(base, SubsetSpec.rectangle((2010, 2010), (50, 55)))
         with pytest.raises(ValueError, match="overlap"):
             update(gp, overlap)
 
