@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Each subcommand reads CSV/JSON inputs, runs one stage of the analysis, and
-writes plot-ready CSVs plus a manifest recording every resolved option, so a
-run is reproducible byte-for-byte from its manifest.  No plotting happens
-in-process.
+writes plot-ready CSVs to ``--out``.  Once they are written, ``main`` adds
+``manifest.json``, recording every resolved option, so a run is reproducible
+byte-for-byte from it; a command that fails writes none.  No plotting here.
 """
 
 from __future__ import annotations
@@ -108,19 +108,13 @@ def _load_training_table(args) -> MortalityTable:
     return subset(table, spec) if spec is not None else table
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, args) -> None:
+def _write_manifest(out: Path, args) -> None:
     options = {}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command"):
             continue
         options[key] = str(value) if isinstance(value, Path) else value
-    payload = {"command": command, "options": options, "version": __version__}
+    payload = {"command": args.command, "options": options, "version": __version__}
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -132,13 +126,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _posterior_rows(xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float):
+def _write_posterior_csv(path: Path, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
     lo, hi = post.band(level)
     cells = xs.astype(int)
-    return zip(cells[:, 0].tolist(), cells[:, 1].tolist(), post.mean.tolist(), post.sd.tolist(), lo.tolist(), hi.tolist())
-
-
-POSTERIOR_HEADER = ["age", "year", "mean_log", "sd_log", "lo", "hi"]
+    rows = zip(cells[:, 0].tolist(), cells[:, 1].tolist(), post.mean.tolist(), post.sd.tolist(), lo.tolist(), hi.tolist())
+    _write_csv(path, ["age", "year", "mean_log", "sd_log", "lo", "hi"], rows)
 
 
 def _write_estimates(path: Path, rows) -> None:
@@ -150,8 +142,7 @@ def _write_estimates(path: Path, rows) -> None:
         print(f"{name:<{width}}  {value if isinstance(value, str) else format(value, '.6g')}")
 
 
-def cmd_fit(args) -> int:
-    out = _outdir(args)
+def cmd_fit(args, out: Path) -> None:
     table = _load_training_table(args)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
@@ -166,38 +157,30 @@ def cmd_fit(args) -> int:
         ["converged", str(result.converged).lower()],
         ["bound_hit", str(result.bound_hit).lower()],
     ]
-    _write_manifest(out, "fit", args)
     _write_estimates(out / "fit.csv", rows)
-    return 0
 
 
 def _write_posterior(out: Path, stem: str, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
-    _write_csv(out / f"{stem}.csv", POSTERIOR_HEADER, _posterior_rows(xs, post, level))
+    _write_posterior_csv(out / f"{stem}.csv", xs, post, level)
     # no indent: with one the stdlib falls back to its pure-Python encoder
     (out / f"{stem}.json").write_text(json.dumps(post.to_dict(level), sort_keys=True) + "\n")
 
 
-def cmd_smooth(args) -> int:
-    out = _outdir(args)
+def cmd_smooth(args, out: Path) -> None:
     gp = load_model(args.model)
     post = gp_mod.predict(gp, gp.x)
     _write_posterior(out, "smooth", gp.x, post, args.level)
-    _write_manifest(out, "smooth", args)
     print(f"wrote in-sample surface for {gp.n} cells to {out / 'smooth.csv'}")
-    return 0
 
 
-def cmd_forecast(args) -> int:
-    out = _outdir(args)
+def cmd_forecast(args, out: Path) -> None:
     gp = load_model(args.model)
     ages = np.arange(args.ages[0], args.ages[1] + 1)
     years = np.arange(args.years[0], args.years[1] + 1)
     grid = np.array([[a, y] for y in years for a in ages], dtype=float)
     post = gp_mod.predict_observation(gp, grid) if args.observation else gp_mod.predict(gp, grid)
     _write_posterior(out, "forecast", grid, post, args.level)
-    _write_manifest(out, "forecast", args)
     print(f"wrote {grid.shape[0]} forecast cells to {out / 'forecast.csv'}")
-    return 0
 
 
 def _curve_rows(curve: imp_mod.ImprovementCurve):
@@ -206,8 +189,7 @@ def _curve_rows(curve: imp_mod.ImprovementCurve):
     return zip(curve.ages.astype(int).tolist(), [int(curve.year)] * n, [curve.kind] * n, curve.mean.tolist(), sd, lo, hi)
 
 
-def cmd_improve(args) -> int:
-    out = _outdir(args)
+def cmd_improve(args, out: Path) -> None:
     if args.kind == "obs":
         if args.data is None:
             raise ValueError("--kind obs requires --data")
@@ -229,13 +211,10 @@ def cmd_improve(args) -> int:
         else:
             curve = imp_mod.mi_centered(gp, ages, args.year, h=args.h, level=args.level)
     _write_csv(out / "improvement.csv", ["age", "year", "kind", "mean", "sd", "lo", "hi"], _curve_rows(curve))
-    _write_manifest(out, "improve", args)
     print(f"wrote {curve.ages.size} improvement factors ({curve.kind}) to {out / 'improvement.csv'}")
-    return 0
 
 
-def cmd_sample(args) -> int:
-    out = _outdir(args)
+def cmd_sample(args, out: Path) -> None:
     gp = load_model(args.model)
     ages = np.arange(args.ages[0], args.ages[1] + 1)
     pts = np.column_stack([ages, np.full(ages.size, args.year)]).astype(float)
@@ -243,13 +222,10 @@ def cmd_sample(args) -> int:
     ages_list = ages.tolist()
     rows = ([k, age, args.year, v] for k, path in enumerate(paths.tolist()) for age, v in zip(ages_list, path))
     _write_csv(out / "paths.csv", ["path", "age", "year", "value"], rows)
-    _write_manifest(out, "sample", args)
     print(f"wrote {args.n_paths} paths over {ages.size} ages to {out / 'paths.csv'}")
-    return 0
 
 
-def cmd_update(args) -> int:
-    out = _outdir(args)
+def cmd_update(args, out: Path) -> None:
     gp = load_model(args.model)
     new_cells = load_table(args.new_data)
     if not new_cells.training_cells():
@@ -262,13 +238,10 @@ def cmd_update(args) -> int:
     columns = (report.before.mean, report.before.sd, report.after.mean, report.after.sd, report.sd_delta)
     rows = zip(cells[:, 0].tolist(), cells[:, 1].tolist(), *(c.tolist() for c in columns))
     _write_csv(out / "update_report.csv", ["age", "year", "mean_before", "sd_before", "mean_after", "sd_after", "sd_delta"], rows)
-    _write_manifest(out, "update", args)
     print(f"updated model with {len(new_cells)} cells; report at {out / 'update_report.csv'}")
-    return 0
 
 
-def cmd_glm(args) -> int:
-    out = _outdir(args)
+def cmd_glm(args, out: Path) -> None:
     table = _load_training_table(args)
     basis = MEAN_NAMES[args.mean]
     if basis is None:
@@ -284,9 +257,7 @@ def cmd_glm(args) -> int:
         "converged": fit.converged,
     }
     (out / "glm.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "glm", args)
     _write_estimates(out / "glm.csv", rows)
-    return 0
 
 
 def _experiment_protocols(text: str) -> list[tuple[str, str]]:
@@ -300,8 +271,7 @@ def _experiment_protocols(text: str) -> list[tuple[str, str]]:
     return [(name, mean)]
 
 
-def cmd_experiment(args) -> int:
-    out = _outdir(args)
+def cmd_experiment(args, out: Path) -> None:
     full = load_table(args.data)
     summary_rows = []
     for subset_name, mean_name in _experiment_protocols(args.protocol):
@@ -329,21 +299,15 @@ def cmd_experiment(args) -> int:
             if test is not None:
                 xs = test.inputs()
                 test_post = gp_mod.predict(gp, xs)
-                _write_csv(
-                    out / f"predictions_{subset_name}_{mean_name}.csv",
-                    POSTERIOR_HEADER,
-                    _posterior_rows(xs, test_post, args.level),
-                )
+                _write_posterior_csv(out / f"predictions_{subset_name}_{mean_name}.csv", xs, test_post, args.level)
                 rmse = float(np.sqrt(np.mean((test_post.mean - test.responses()) ** 2)))
                 print(f"{subset_name}-{mean_name}: test RMSE (log rate) over {xs.shape[0]} cells = {rmse:.5f}")
 
     _write_csv(out / "experiment.csv", ["train_set", "mean", "age", "year", "mean_log", "sd_log", "observed_log"], summary_rows)
-    _write_manifest(out, "experiment", args)
     print(f"{'train':<9} {'mean':<10} {'age':>4} {'year':>5}  {'m*':>9}  {'s*':>8}  observed")
     for row in summary_rows:
         obs = f"{row[6]:9.4f}" if row[6] is not None else "        -"
         print(f"{row[0]:<9} {row[1]:<10} {row[2]:>4} {row[3]:>5}  {row[4]:9.4f}  {row[5]:8.4f} {obs}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,10 +389,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        _write_manifest(out, args)
     except Exception as exc:  # propagate module errors as a nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

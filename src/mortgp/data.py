@@ -107,9 +107,6 @@ class MortalityTable:
     def ages(self) -> np.ndarray:
         return np.array(sorted({c.age for c in self._cells}), dtype=int)
 
-    def years(self) -> np.ndarray:
-        return np.array(sorted({c.year for c in self._cells}), dtype=int)
-
     def cell(self, age: int, year: int) -> MortalityCell:
         try:
             return self._index[(age, year)]

@@ -20,17 +20,15 @@ log-likelihood comes from ``gp.fit_gls`` at the best point.  Restarts run one
 after another; results are deterministic for a given config and seed.
 
 ``scipy.optimize`` loads on first use, not at import, so that commands which
-never fit (and ``import mortgp``) load no scipy: the module ``__getattr__``
-imports ``minimize`` and caches it as a module global, which callers may read
-and replace (``hyperfit.minimize``).  ``fit_mle`` looks it up as a module
-attribute, because a module ``__getattr__`` does not serve the module's own
-global-name lookups.
+never fit (and ``import mortgp``) load no scipy: ``minimize`` is a plain
+function that imports ``scipy.optimize.minimize`` when first called and
+forwards to it.  ``fit_mle`` calls it by its module-global name, so a
+replacement set on ``hyperfit.minimize`` is the one it calls.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -50,14 +48,11 @@ from .means import MeanBasis
 _BOUND_EPS = 1e-3
 
 
-def __getattr__(name: str):
-    """``minimize``: scipy's, imported on first use and cached as a module global (PEP 562)."""
-    if name != "minimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call."""
     from scipy.optimize import minimize
 
-    globals()["minimize"] = minimize
-    return minimize
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,6 @@ def fit_mle(
     def params(v: np.ndarray) -> dict:
         return {name: math.exp(value) for name, value in zip(names, v)}
 
-    minimize = sys.modules[__name__].minimize  # a bare name would not reach __getattr__
     trace = []
     for start in starts:
         t0, failures = time.perf_counter(), obj.failures

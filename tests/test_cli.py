@@ -244,6 +244,42 @@ class TestDownstreamCommands:
         assert [(row["age"], row["year"]) for row in rows] == [(str(int(a)), str(int(y))) for a, y in gp.x]
 
 
+# valid arguments, apart from --out, for every subcommand
+MANIFEST_COMMANDS = {
+    "fit": lambda model, data, new: ["fit", "--data", str(data), "--subset", "subset3", "--restarts", "1"],
+    "smooth": lambda model, data, new: ["smooth", "--model", str(model)],
+    "forecast": lambda model, data, new: ["forecast", "--model", str(model), "--years", "2015-2016", "--ages", "60-62"],
+    "improve": lambda model, data, new: ["improve", "--model", str(model), "--kind", "diff", "--year", "2010", "--ages", "50-55"],
+    "sample": lambda model, data, new: ["sample", "--model", str(model), "--year", "2015", "--ages", "60-62"],
+    "update": lambda model, data, new: ["update", "--model", str(model), "--new-data", str(new), "--probes", "60:2013"],
+    "glm": lambda model, data, new: ["glm", "--data", str(data), "--subset", "subset3"],
+    "experiment": lambda model, data, new: ["experiment", "--data", str(data), "--protocol", "subset3-intercept", "--restarts", "1"],
+}
+
+
+class TestManifest:
+    """``main`` writes manifest.json after every command that succeeds (the failing ones are in TestErrors)."""
+
+    @pytest.fixture(scope="class")
+    def new_csv(self, data_csv, tmp_path_factory):
+        path = tmp_path_factory.mktemp("new") / "new.csv"
+        subset(load_table(data_csv), SubsetSpec.rectangle((2011, 2011), (50, 70))).save(path)
+        return path
+
+    @pytest.mark.parametrize("command", list(MANIFEST_COMMANDS))
+    def test_records_command_and_parsed_options(self, model_dir, data_csv, new_csv, tmp_path, command):
+        argv = MANIFEST_COMMANDS[command](model_dir / "model.json", data_csv, new_csv) + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        parsed = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if k not in ("func", "command")}
+        assert manifest["command"] == command
+        assert manifest["options"] == json.loads(json.dumps(parsed))
+        assert manifest["version"] == mortgp.__version__
+
+    def test_every_subcommand_is_covered(self):
+        assert set(build_parser()._subparsers._group_actions[0].choices) == set(MANIFEST_COMMANDS)
+
+
 class TestGridModelMemory:
     """A constant-noise model on a grid, full or with holes, goes through every command without an n x n array."""
 
@@ -329,6 +365,7 @@ class TestErrors:
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -339,6 +376,7 @@ class TestErrors:
         rc = main(["improve", "--kind", "obs", "--year", "2014", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "requires --data" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("rows", [[], ["60,2015,0,100000", "61,2015,0,100000"]], ids=["header_only", "zero_deaths"])
     def test_update_without_trainable_cells_names_new_data(self, model_dir, tmp_path, capsys, rows):
@@ -349,6 +387,7 @@ class TestErrors:
         assert rc == 1
         assert f"new data {new} has no trainable cells" in capsys.readouterr().err
         assert not (out / "model_updated.json").exists()
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("probes", ["60", "a:b"])
     def test_malformed_probes_name_flag_and_form(self, model_dir, data_csv, tmp_path, capsys, probes):

@@ -302,14 +302,20 @@ class TestLikelihoodSurface:
 
 
 class TestLazyMinimize:
-    """scipy.optimize loads at the first lookup of ``hyperfit.minimize``, not at import."""
+    """``hyperfit.minimize`` loads scipy.optimize at its first call, not at import, and forwards to it."""
 
-    def test_first_lookup_is_scipy_minimize(self, monkeypatch):
+    def test_returns_scipy_result_on_a_quadratic(self):
         import scipy.optimize
 
-        monkeypatch.delitem(vars(hyperfit), "minimize", raising=False)
-        assert getattr(hyperfit, "minimize") is scipy.optimize.minimize
-        assert vars(hyperfit)["minimize"] is scipy.optimize.minimize  # cached as a module global
+        def fun(v):
+            r = v - np.array([1.5, -2.0])
+            return float(r @ r), 2 * r
+
+        res = hyperfit.minimize(fun, np.zeros(2), jac=True, method="L-BFGS-B")
+        expected = scipy.optimize.minimize(fun, np.zeros(2), jac=True, method="L-BFGS-B")
+        np.testing.assert_array_equal(res.x, expected.x)
+        assert res.fun == expected.fun and res.nfev == expected.nfev
+        np.testing.assert_allclose(res.x, [1.5, -2.0], atol=1e-8)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
