@@ -9,7 +9,6 @@ byte-for-byte from it; a command that fails writes none.  No plotting here.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -118,24 +117,28 @@ def _write_manifest(out: Path, args) -> None:
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # rows hold Python ints, floats (written as their repr), strings and None (an empty cell)
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write ``header``, then each block, a sequence of equal-length columns, joined into one string.
+
+    A cell is written as its ``str``, so a float is its repr and reads back bit for bit; an empty
+    cell is ``""``.  No cell needs quoting and no row is one cell, so the bytes match ``csv.writer``'s.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*(map(str, c) for c in columns))]))
 
 
 def _write_posterior_csv(path: Path, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
     lo, hi = post.band(level)
     cells = xs.astype(int)
-    rows = zip(cells[:, 0].tolist(), cells[:, 1].tolist(), post.mean.tolist(), post.sd.tolist(), lo.tolist(), hi.tolist())
-    _write_csv(path, ["age", "year", "mean_log", "sd_log", "lo", "hi"], rows)
+    block = (cells[:, 0].tolist(), cells[:, 1].tolist(), post.mean.tolist(), post.sd.tolist(), lo.tolist(), hi.tolist())
+    _write_csv(path, ["age", "year", "mean_log", "sd_log", "lo", "hi"], [block])
 
 
 def _write_estimates(path: Path, rows) -> None:
     """Write ``(parameter, estimate)`` rows as CSV and print them as a table, numbers to 6 significant digits."""
-    _write_csv(path, ["parameter", "estimate"], rows)
+    _write_csv(path, ["parameter", "estimate"], [list(zip(*rows))])
     width = max(len(name) for name, _ in rows)
     print(f"{'parameter':<{width}}  estimate")
     for name, value in rows:
@@ -183,10 +186,10 @@ def cmd_forecast(args, out: Path) -> None:
     print(f"wrote {grid.shape[0]} forecast cells to {out / 'forecast.csv'}")
 
 
-def _curve_rows(curve: imp_mod.ImprovementCurve):
+def _curve_block(curve: imp_mod.ImprovementCurve):
     n = curve.ages.size
-    sd, lo, hi = (v.tolist() if v is not None else [None] * n for v in (curve.sd, curve.lo, curve.hi))
-    return zip(curve.ages.astype(int).tolist(), [int(curve.year)] * n, [curve.kind] * n, curve.mean.tolist(), sd, lo, hi)
+    sd, lo, hi = (v.tolist() if v is not None else [""] * n for v in (curve.sd, curve.lo, curve.hi))
+    return curve.ages.astype(int).tolist(), [int(curve.year)] * n, [curve.kind] * n, curve.mean.tolist(), sd, lo, hi
 
 
 def cmd_improve(args, out: Path) -> None:
@@ -210,7 +213,7 @@ def cmd_improve(args, out: Path) -> None:
             curve = imp_mod.mi_diff_gp(gp, ages, args.year, level=args.level)
         else:
             curve = imp_mod.mi_centered(gp, ages, args.year, h=args.h, level=args.level)
-    _write_csv(out / "improvement.csv", ["age", "year", "kind", "mean", "sd", "lo", "hi"], _curve_rows(curve))
+    _write_csv(out / "improvement.csv", ["age", "year", "kind", "mean", "sd", "lo", "hi"], [_curve_block(curve)])
     print(f"wrote {curve.ages.size} improvement factors ({curve.kind}) to {out / 'improvement.csv'}")
 
 
@@ -219,9 +222,11 @@ def cmd_sample(args, out: Path) -> None:
     ages = np.arange(args.ages[0], args.ages[1] + 1)
     pts = np.column_stack([ages, np.full(ages.size, args.year)]).astype(float)
     paths = gp_mod.sample_paths(gp, pts, args.n_paths, args.seed)
-    ages_list = ages.tolist()
-    rows = ([k, age, args.year, v] for k, path in enumerate(paths.tolist()) for age, v in zip(ages_list, path))
-    _write_csv(out / "paths.csv", ["path", "age", "year", "value"], rows)
+    # one block per path; the ages and the year are formatted once, the path index once per path
+    age_col = [str(age) for age in ages.tolist()]
+    year_col = [str(args.year)] * ages.size
+    blocks = (([str(k)] * ages.size, age_col, year_col, path.tolist()) for k, path in enumerate(paths))
+    _write_csv(out / "paths.csv", ["path", "age", "year", "value"], blocks)
     print(f"wrote {args.n_paths} paths over {ages.size} ages to {out / 'paths.csv'}")
 
 
@@ -236,8 +241,8 @@ def cmd_update(args, out: Path) -> None:
     save_model(updated, out / "model_updated.json")
     cells = probes.astype(int)
     columns = (report.before.mean, report.before.sd, report.after.mean, report.after.sd, report.sd_delta)
-    rows = zip(cells[:, 0].tolist(), cells[:, 1].tolist(), *(c.tolist() for c in columns))
-    _write_csv(out / "update_report.csv", ["age", "year", "mean_before", "sd_before", "mean_after", "sd_after", "sd_delta"], rows)
+    block = (cells[:, 0].tolist(), cells[:, 1].tolist(), *(c.tolist() for c in columns))
+    _write_csv(out / "update_report.csv", ["age", "year", "mean_before", "sd_before", "mean_after", "sd_after", "sd_delta"], [block])
     print(f"updated model with {len(new_cells)} cells; report at {out / 'update_report.csv'}")
 
 
@@ -285,7 +290,7 @@ def cmd_experiment(args, out: Path) -> None:
         probes = np.array([[a, probe_year] for a in args.probe_ages], dtype=float)
         post = gp_mod.predict(gp, probes)
         for i, age in enumerate(args.probe_ages):
-            observed = None
+            observed = ""
             if full.has_cell(int(age), probe_year):
                 observed = float(full.cell(int(age), probe_year).log_rate)
             summary_rows.append([subset_name, mean_name, int(age), probe_year, post.mean[i].item(), post.sd[i].item(), observed])
@@ -303,10 +308,11 @@ def cmd_experiment(args, out: Path) -> None:
                 rmse = float(np.sqrt(np.mean((test_post.mean - test.responses()) ** 2)))
                 print(f"{subset_name}-{mean_name}: test RMSE (log rate) over {xs.shape[0]} cells = {rmse:.5f}")
 
-    _write_csv(out / "experiment.csv", ["train_set", "mean", "age", "year", "mean_log", "sd_log", "observed_log"], summary_rows)
+    header = ["train_set", "mean", "age", "year", "mean_log", "sd_log", "observed_log"]
+    _write_csv(out / "experiment.csv", header, [list(zip(*summary_rows))])
     print(f"{'train':<9} {'mean':<10} {'age':>4} {'year':>5}  {'m*':>9}  {'s*':>8}  observed")
     for row in summary_rows:
-        obs = f"{row[6]:9.4f}" if row[6] is not None else "        -"
+        obs = f"{row[6]:9.4f}" if row[6] != "" else "        -"
         print(f"{row[0]:<9} {row[1]:<10} {row[2]:>4} {row[3]:>5}  {row[4]:9.4f}  {row[5]:8.4f} {obs}")
 
 

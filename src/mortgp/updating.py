@@ -27,10 +27,11 @@ def update(gp: FittedGP, new_cells: MortalityTable) -> FittedGP:
     must hold at least one trainable cell (deaths > 0); an empty one leaves
     the fit as it was.  Returns a new model; the original is untouched.
     """
-    if len(new_cells) and not new_cells.training_cells():
+    trainable = new_cells.training_cells()
+    if len(new_cells) and not trainable:
         raise ValueError(f"new data has no trainable cells: all {len(new_cells)} of its cells have zero deaths")
-    existing = {(int(a), int(yr)) for a, yr in gp.x}
-    clash = [(c.age, c.year) for c in new_cells.training_cells() if (c.age, c.year) in existing]
+    existing = {(int(a), int(yr)) for a, yr in gp.x.tolist()}
+    clash = [(c.age, c.year) for c in trainable if (c.age, c.year) in existing]
     if clash:
         raise ValueError(f"new cells overlap training data at (age, year) = {clash[0]}")
 

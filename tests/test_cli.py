@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mortgp
 import mortgp.gp as gp_mod
 from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model, subset
-from mortgp.cli import build_parser, main
+from mortgp.cli import _write_csv, build_parser, main
 from mortgp.data import SUBSET_PRESETS, SubsetSpec
 
 from conftest import table_from_surface, traced_memory
@@ -227,14 +231,19 @@ class TestDownstreamCommands:
         assert printed[-1].endswith("        -") and not printed[-2].endswith("-")
 
     def test_csv_values_are_exact_float_reprs(self, model_dir, tmp_path):
-        # each float cell is the repr of the library's number, so it reads back bit for bit
+        # each float cell is the repr of the library's number, so it reads back bit for bit; 11 paths
+        # over ages 8-12 take the path index and the age labels from one digit to two
         model = model_dir / "model.json"
         out = tmp_path / "paths"
-        argv = ["sample", "--model", str(model), "--year", "2012", "--ages", "50-53", "--n-paths", "3", "--seed", "4"]
+        argv = ["sample", "--model", str(model), "--year", "2012", "--ages", "8-12", "--n-paths", "11", "--seed", "4"]
         assert main(argv + ["--out", str(out)]) == 0
-        pts = np.column_stack([np.arange(50, 54), np.full(4, 2012)]).astype(float)
-        expected = gp_mod.sample_paths(load_model(model), pts, 3, 4).ravel().tolist()
-        assert [row["value"] for row in read_csv(out / "paths.csv")] == [repr(v) for v in expected]
+        pts = np.column_stack([np.arange(8, 13), np.full(5, 2012)]).astype(float)
+        expected = gp_mod.sample_paths(load_model(model), pts, 11, 4)
+        rows = read_csv(out / "paths.csv")
+        assert [row["value"] for row in rows] == [repr(v) for v in expected.ravel().tolist()]
+        assert [(row["path"], row["age"], row["year"]) for row in rows] == [
+            (str(k), str(age), "2012") for k in range(11) for age in range(8, 13)
+        ]
         out = tmp_path / "smooth"
         assert main(["smooth", "--model", str(model), "--out", str(out)]) == 0
         gp = load_model(model)
@@ -242,6 +251,50 @@ class TestDownstreamCommands:
         rows = read_csv(out / "smooth.csv")
         assert [row["mean_log"] for row in rows] == [repr(v) for v in post.mean.tolist()]
         assert [(row["age"], row["year"]) for row in rows] == [(str(int(a)), str(int(y))) for a, y in gp.x]
+
+    def test_sample_csv_peak_is_one_path_at_a_time(self, model_dir, tmp_path):
+        # 1,000 paths x 101 ages: a whole-file join peaks near 23 MB, one block per path near 3 MB
+        argv = ["sample", "--model", str(model_dir / "model.json"), "--year", "2012", "--ages", "0-100", "--n-paths", "1000"]
+        codes = []
+        _, peak = traced_memory(lambda: codes.append(main(argv + ["--out", str(tmp_path)])))
+        assert codes == [0]
+        assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1 + 1000 * 101
+        assert peak < 6e6
+
+
+# cells of the kinds the commands write: ints, floats with their edge cases, empty cells and labels
+CSV_CELLS = st.one_of(
+    st.integers(-(10**6), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-300, 1e16, math.nan, math.inf, -math.inf]),
+    st.just(""),
+    st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12),
+)
+
+
+@st.composite
+def csv_blocks(draw):
+    # every command's CSV has at least two columns; csv.writer quotes a row that is one empty cell
+    n_cols = draw(st.integers(2, 7))
+    blocks = []
+    for n_rows in draw(st.lists(st.integers(0, 6), max_size=4)):
+        blocks.append([draw(st.lists(CSV_CELLS, min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)])
+    return n_cols, blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=csv_blocks())
+def test_write_csv_matches_csv_writer(drawn, tmp_path_factory):
+    n_cols, blocks = drawn
+    header = [f"col{j}" for j in range(n_cols)]
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    _write_csv(path, header, blocks)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for columns in blocks:
+        writer.writerows(zip(*columns))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 # valid arguments, apart from --out, for every subcommand
