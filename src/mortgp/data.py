@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -116,9 +116,6 @@ class MortalityTable:
     def has_cell(self, age: int, year: int) -> bool:
         return (age, year) in self._index
 
-    def save(self, target: Union[str, Path, IO[str]]) -> None:
-        save_table(self, target)
-
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -176,20 +173,13 @@ def subset(table: MortalityTable, spec: SubsetSpec) -> MortalityTable:
         return MortalityTable(kept)
 
 
-def _open_for(target, mode: str):
-    if isinstance(target, (str, Path)):
-        return open(target, mode, newline=""), True
-    return target, False
-
-
-def load_table(source: Union[str, Path, IO[str]]) -> MortalityTable:
+def load_table(path: Union[str, Path]) -> MortalityTable:
     """Read a mortality table from CSV.
 
     The header must name ``age, year, deaths, exposure`` (case-insensitive,
     any order); an optional ``log_rate`` column is ignored and recomputed.
     """
-    stream, owned = _open_for(source, "r")
-    try:
+    with open(path, newline="") as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -210,16 +200,10 @@ def load_table(source: Union[str, Path, IO[str]]) -> MortalityTable:
                 year = _parse_int(row[idx["year"]], "year")
                 deaths = float(row[idx["deaths"]])
                 exposure = float(row[idx["exposure"]])
+                cells.append(MortalityCell(age=age, year=year, deaths=deaths, exposure=exposure))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
-            try:
-                cells.append(MortalityCell(age=age, year=year, deaths=deaths, exposure=exposure))
-            except ValueError as exc:
-                raise ValueError(f"row {rownum}: {exc}") from None
         return MortalityTable(cells)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -229,22 +213,18 @@ def _parse_int(text: str, name: str) -> int:
     return int(value)
 
 
-def save_table(table: MortalityTable, target: Union[str, Path, IO[str]]) -> None:
+def save_table(table: MortalityTable, path: Union[str, Path]) -> None:
     """Write a table as CSV with the log rate at 6 decimal places.
 
     Deaths and exposure use shortest round-trip formatting so that
     ``load_table(save_table(t)) == t`` exactly.
     """
-    stream, owned = _open_for(target, "w")
-    try:
+    with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["age", "year", "deaths", "exposure", "log_rate"])
         for c in table:
             log_rate = f"{c.log_rate:.6f}" if c.trainable else ""
             writer.writerow([c.age, c.year, repr(c.deaths), repr(c.exposure), log_rate])
-    finally:
-        if owned:
-            stream.close()
 
 
 # Named train/test splits used throughout the CLI; blocks are inclusive ranges.

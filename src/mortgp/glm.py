@@ -15,6 +15,10 @@ from . import means
 from .data import MortalityTable
 from .means import MeanBasis
 
+# IRLS stops when the deviance changes by at most TOL relative, and fails after MAX_ITER iterations
+MAX_ITER = 100
+TOL = 1e-9
+
 
 @dataclass
 class GlmFit:
@@ -36,7 +40,7 @@ def _deviance(d: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (d - mu)))
 
 
-def fit_poisson_glm(table: MortalityTable, basis: MeanBasis, max_iter: int = 100, tol: float = 1e-9) -> GlmFit:
+def fit_poisson_glm(table: MortalityTable, basis: MeanBasis) -> GlmFit:
     """IRLS fit of the Poisson death-count model with offset log(exposure)."""
     cells = table.cells
     if not cells:
@@ -59,7 +63,7 @@ def fit_poisson_glm(table: MortalityTable, basis: MeanBasis, max_iter: int = 100
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         w_sqrt = np.sqrt(mu)
         z = eta - offset + (d - mu) / mu
         beta_new, *_ = np.linalg.lstsq(h * w_sqrt[:, None], z * w_sqrt, rcond=None)
@@ -86,14 +90,14 @@ def fit_poisson_glm(table: MortalityTable, basis: MeanBasis, max_iter: int = 100
                 raise RuntimeError(f"IRLS step-halving failed at iteration {iterations}; deviance trace {trace}")
 
         trace.append(dev_c)
-        if beta is not None and abs(dev - dev_c) <= tol * max(abs(dev_c), 1e-8):
+        if beta is not None and abs(dev - dev_c) <= TOL * max(abs(dev_c), 1e-8):
             beta, dev = candidate, dev_c
             converged = True
             break
         beta, eta, mu, dev = candidate, eta_c, mu_c, dev_c
 
     if not converged:
-        raise RuntimeError(f"IRLS did not converge in {max_iter} iterations; deviance trace {trace}")
+        raise RuntimeError(f"IRLS did not converge in {MAX_ITER} iterations; deviance trace {trace}")
 
     m = means.basis_change_matrix(basis, center, scale)
     fisher = (h * mu[:, None]).T @ h

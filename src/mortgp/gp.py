@@ -38,15 +38,15 @@ on a grid, gathered into the full array otherwise (``kernels._gather``).
 
 On the same model the two agree within 1e-10 absolute on posterior means and
 variances and 1e-8 relative on the log-likelihood, with or without missing
-cells, where the noise is at least 1e-6 of eta^2; the tests check this over
-the MLE search box on a smooth trend plus noise and, with holes, on GP draws.
-At the box's worst-conditioned corner, theta_ag = theta_yr = 100,
-eta^2 = 1e-6, sigma^2 = 1e-10, that bound is float64's floor: on 35 x 16 GP
-draws, full or ``subset2``, the means differ there by up to 1.1e-10, each
-route 2-7e-11 from a long-double reference, so the 35 x 16 tests check that
-corner on trend-plus-noise data.  On the ``subset2`` notch at the published
-hyperparameters the likelihood with its gradient costs about a sixth of the
-dense route's.
+cells, at every point the tests check over the MLE search box with noise at
+least 1e-6 of eta^2, on a smooth trend plus noise and, with holes, on GP draws.
+That is no bound: near sigma^2 = 1e-6 eta^2, and at the box's corner
+theta_ag = theta_yr = 100, eta^2 = 1e-6, sigma^2 = 1e-10, it is float64's
+floor.  There each route's means are 0.2-3e-10 from a high-precision reference
+and the two differ by up to 3.4e-10, so the 35 x 16 tests check that corner
+on trend-plus-noise data, not GP draws.  On the ``subset2`` notch at the
+published hyperparameters the likelihood with its gradient costs about a sixth
+of the dense route's.
 
 Basis coefficients are solved in internally rescaled input coordinates (the
 raw design matrix for a quadratic-age trend over calendar years is too ill
@@ -458,6 +458,9 @@ def fit_gls_xy(
     noise_diag = np.asarray(noise_diag, dtype=float).ravel()
     if noise_diag.size != n:
         raise ValueError("noise diagonal length does not match inputs")
+    for name, values in (("inputs", x), ("responses", y), ("noise variances", noise_diag)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
 
     p = means.basis_dim(basis)
     if n < p:

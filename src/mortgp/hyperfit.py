@@ -47,6 +47,14 @@ from .means import MeanBasis
 # projects onto the box exactly, so the margin only adds optima within 0.1 % of one
 _BOUND_EPS = 1e-3
 
+# the search box, in raw input/output units, lengthscales in years
+THETA_BOUNDS = (0.5, 100.0)
+ETA_SQ_BOUNDS = (1e-6, 1e2)
+SIGMA_SQ_BOUNDS = (1e-10, 1.0)
+# L-BFGS-B stops where -log L falls by at most FTOL relative, or no projected-gradient entry exceeds GTOL
+FTOL = 1e-9
+GTOL = 1e-5
+
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported at the first call."""
@@ -57,31 +65,14 @@ def minimize(*args, **kwargs):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer configuration; bounds are in raw input/output units, lengthscales in years.
-
-    The optimizer searches the box of log hyperparameters these bounds span.
-
-    L-BFGS-B ends a restart at ``ftol = 1e-2 * tol`` (relative decrease of -log L)
-    or ``gtol = 0.1 * xatol`` (largest projected-gradient entry, nat per log
-    unit), 1e-9 and 1e-5 at the defaults, or after ``max_iter`` iterations.
-    """
+    """The number of restarts and the seed of their random starts; the box and stopping rule are module constants."""
 
     n_restarts: int = 8
-    theta_bounds: tuple[float, float] = (0.5, 100.0)
-    eta_sq_bounds: tuple[float, float] = (1e-6, 1e2)
-    sigma_sq_bounds: tuple[float, float] = (1e-10, 1.0)
-    tol: float = 1e-7
-    xatol: float = 1e-4
-    max_iter: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be at least 1")
-        for name in ("theta_bounds", "eta_sq_bounds", "sigma_sq_bounds"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-                raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo}, {hi})")
 
 
 @dataclass
@@ -201,16 +192,12 @@ def fit_mle(
     obj = _ProfiledLikelihood(family, x, y, basis, fixed_diag)
     estimate_sigma = obj.estimate_sigma
     names = ["theta_ag", "theta_yr", "eta_sq", "sigma_sq"][: 3 + estimate_sigma]
-    bounds = [config.theta_bounds, config.theta_bounds, config.eta_sq_bounds, config.sigma_sq_bounds]
+    bounds = [THETA_BOUNDS, THETA_BOUNDS, ETA_SQ_BOUNDS, SIGMA_SQ_BOUNDS]
     log_bounds = np.log(np.array(bounds[: len(names)]))
 
     rng = np.random.default_rng(config.seed)
     starts = [_heuristic_start(x, y, obj.h, estimate_sigma, log_bounds)]
     starts += [rng.uniform(log_bounds[:, 0], log_bounds[:, 1]) for _ in range(config.n_restarts - 1)]
-
-    options = {"ftol": 1e-2 * config.tol, "gtol": 0.1 * config.xatol}
-    if config.max_iter is not None:
-        options["maxiter"] = config.max_iter
 
     def params(v: np.ndarray) -> dict:
         return {name: math.exp(value) for name, value in zip(names, v)}
@@ -218,7 +205,7 @@ def fit_mle(
     trace = []
     for start in starts:
         t0, failures = time.perf_counter(), obj.failures
-        res = minimize(obj, start, jac=True, method="L-BFGS-B", bounds=log_bounds, options=options)
+        res = minimize(obj, start, jac=True, method="L-BFGS-B", bounds=log_bounds, options={"ftol": FTOL, "gtol": GTOL})
         # a singular point has value inf and gradient 0; L-BFGS-B does not step back from
         # it in a line search and may report success at a point that is no optimum
         failed = obj.failures - failures

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import IO, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .kernels import ConstantNoise, DeltaMethodNoise, KernelFamily, KernelHyperp
 from .means import MeanBasis
 
 SCHEMA_VERSION = 1
+_FIELDS = ("basis", "beta", "family", "hyperparams", "inputs", "noise", "noise_diag", "y")
 
 
 def _noise_to_json(noise) -> dict:
@@ -67,9 +68,14 @@ def model_to_dict(gp: FittedGP) -> dict:
 
 
 def model_from_dict(obj: dict) -> FittedGP:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model file holds a JSON object, not a JSON {type(obj).__name__}")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version!r}")
+    missing = [name for name in _FIELDS if name not in obj]
+    if missing:
+        raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
     hp = KernelHyperparams(**obj["hyperparams"])
     family = KernelFamily(obj["family"])
     basis = MeanBasis(obj["basis"]) if obj["basis"] is not None else None
@@ -89,18 +95,10 @@ def model_from_dict(obj: dict) -> FittedGP:
     return gp
 
 
-def save_model(gp: FittedGP, target: Union[str, Path, IO[str]]) -> None:
+def save_model(gp: FittedGP, path: Union[str, Path]) -> None:
     """Write the model as one line of JSON with sorted keys: without ``indent`` the stdlib uses its C encoder."""
-    payload = json.dumps(model_to_dict(gp), sort_keys=True)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(payload + "\n")
-    else:
-        target.write(payload + "\n")
+    Path(path).write_text(json.dumps(model_to_dict(gp), sort_keys=True) + "\n")
 
 
-def load_model(source: Union[str, Path, IO[str]]) -> FittedGP:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    return model_from_dict(json.loads(text))
+def load_model(path: Union[str, Path]) -> FittedGP:
+    return model_from_dict(json.loads(Path(path).read_text()))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mortgp
 import mortgp.gp as gp_mod
-from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model, subset
+from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_model, load_table, save_model, save_table, subset
 from mortgp.cli import _write_csv, build_parser, main
 from mortgp.data import SUBSET_PRESETS, SubsetSpec
 
@@ -30,7 +30,7 @@ def data_csv(tmp_path_factory):
 
     table = table_from_surface(range(50, 85), range(1999, 2015), f)
     path = tmp_path_factory.mktemp("data") / "mortality.csv"
-    table.save(path)
+    save_table(table, path)
     return path
 
 
@@ -185,7 +185,7 @@ class TestDownstreamCommands:
 
         new = subset(full, SubsetSpec.rectangle((2011, 2011), (50, 70)))
         new_path = tmp_path / "new.csv"
-        new.save(new_path)
+        save_table(new, new_path)
         out = tmp_path / "upd"
         rc = main(
             [
@@ -316,7 +316,7 @@ class TestManifest:
     @pytest.fixture(scope="class")
     def new_csv(self, data_csv, tmp_path_factory):
         path = tmp_path_factory.mktemp("new") / "new.csv"
-        subset(load_table(data_csv), SubsetSpec.rectangle((2011, 2011), (50, 70))).save(path)
+        save_table(subset(load_table(data_csv), SubsetSpec.rectangle((2011, 2011), (50, 70))), path)
         return path
 
     @pytest.mark.parametrize("command", list(MANIFEST_COMMANDS))
@@ -351,7 +351,7 @@ class TestGridModelMemory:
         hp = KernelHyperparams(theta_ag=15.8, theta_yr=15.5, eta_sq=1.85, sigma_sq=2.8e-4)
         model = fit_gls(table if spec is None else subset(table, spec), KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE)
         save_model(model, root / "model.json")
-        table_from_surface(cls.AGES, [2015], f).save(root / "new.csv")
+        save_table(table_from_surface(cls.AGES, [2015], f), root / "new.csv")
         return root
 
     @pytest.fixture(scope="class")
@@ -442,6 +442,27 @@ class TestErrors:
         assert not (out / "model_updated.json").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: {**d, "y": [math.nan, *d["y"][1:]]}, "responses must be finite"),
+            (lambda d: {**d, "inputs": [[60.0, math.inf], *d["inputs"][1:]]}, "inputs must be finite"),
+            (lambda d: {**d, "noise_diag": [math.nan, *d["noise_diag"][1:]]}, "noise variances must be finite"),
+            (lambda d: {k: v for k, v in d.items() if k != "inputs"}, "model file lacks the field(s) inputs"),
+            (lambda d: [d], "a model file holds a JSON object, not a JSON list"),
+        ],
+        ids=["nan_response", "inf_input", "nan_noise", "missing_field", "not_an_object"],
+    )
+    @pytest.mark.parametrize("command", [["smooth"], ["forecast", "--years", "2011-2012", "--ages", "50-52"]], ids=["smooth", "forecast"])
+    def test_corrupt_model_is_an_error_not_numbers(self, model_dir, tmp_path, capsys, corrupt, message, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(corrupt(json.loads((model_dir / "model.json").read_text()))))
+        out = tmp_path / "x"
+        rc = main([*command, "--model", str(model), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("probes", ["60", "a:b"])
     def test_malformed_probes_name_flag_and_form(self, model_dir, data_csv, tmp_path, capsys, probes):
         args = ["update", "--model", str(model_dir / "model.json"), "--new-data", str(data_csv), "--probes", probes]
@@ -523,8 +544,8 @@ def grid_model_files(tmp_path_factory):
         return -9.0 + 0.08 * age - 0.01 * (year - 2005) + 0.02 * np.sin(0.6 * age)
 
     table = table_from_surface(range(60, 70), range(2005, 2015), f)
-    table.save(root / "data.csv")
-    table_from_surface(range(60, 70), [2015], f).save(root / "new.csv")
+    save_table(table, root / "data.csv")
+    save_table(table_from_surface(range(60, 70), [2015], f), root / "new.csv")
     hp = KernelHyperparams(theta_ag=8.0, theta_yr=8.0, eta_sq=0.5, sigma_sq=1e-4)
     save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
     assert isinstance(load_model(root / "model.json").whitener, gp_mod._GridWhitener)
@@ -540,7 +561,7 @@ def subset2_model_files(tmp_path_factory):
         return -9.0 + 0.08 * age - 0.01 * (year - 2005) + 0.02 * np.sin(0.6 * age)
 
     table = subset(table_from_surface(range(50, 85), range(1999, 2015), f), SUBSET_PRESETS["subset2"])
-    table_from_surface(range(71, 85), [2011], f).save(root / "new.csv")
+    save_table(table_from_surface(range(71, 85), [2011], f), root / "new.csv")
     hp = KernelHyperparams(theta_ag=8.0, theta_yr=8.0, eta_sq=0.5, sigma_sq=1e-4)
     save_model(fit_gls(table, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=MeanBasis.QUADRATIC_AGE), root / "model.json")
     whitener = load_model(root / "model.json").whitener

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -89,45 +88,51 @@ class TestMortalityTable:
         assert t1 == t2
 
 
+def load_csv(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return load_table(path)
+
+
 class TestLoadSave:
     CSV = "age,year,deaths,exposure\n50,2011,722,100000\n51,2011,800,100000\n"
 
-    def test_load_basic(self):
-        table = load_table(io.StringIO(self.CSV))
+    def test_load_basic(self, tmp_path):
+        table = load_csv(tmp_path, self.CSV)
         assert len(table) == 2
         assert table.cells[0].age == 50
         assert table.cells[0].log_rate == pytest.approx(math.log(0.00722))
 
-    def test_header_case_insensitive_and_reordered(self):
+    def test_header_case_insensitive_and_reordered(self, tmp_path):
         text = "Exposure,YEAR,Age,Deaths\n100000,2011,50,722\n"
-        table = load_table(io.StringIO(text))
+        table = load_csv(tmp_path, text)
         assert table.cells[0].deaths == 722.0
 
-    def test_log_rate_column_ignored_on_input(self):
+    def test_log_rate_column_ignored_on_input(self, tmp_path):
         text = "age,year,deaths,exposure,log_rate\n50,2011,722,100000,3.14\n"
-        table = load_table(io.StringIO(text))
+        table = load_csv(tmp_path, text)
         assert table.cells[0].log_rate == pytest.approx(math.log(0.00722))
 
-    def test_missing_column(self):
+    def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="missing required column"):
-            load_table(io.StringIO("age,year,deaths\n50,2011,722\n"))
+            load_csv(tmp_path, "age,year,deaths\n50,2011,722\n")
 
-    def test_malformed_row_reports_row_number(self):
+    def test_malformed_row_reports_row_number(self, tmp_path):
         text = "age,year,deaths,exposure\n50,2011,722,100000\n51,oops,800,100000\n"
         with pytest.raises(ValueError, match="row 3"):
-            load_table(io.StringIO(text))
+            load_csv(tmp_path, text)
 
-    def test_zero_exposure_row_rejected(self):
+    def test_zero_exposure_row_rejected(self, tmp_path):
         text = "age,year,deaths,exposure\n50,2011,0,0\n"
         with pytest.raises(ValueError, match="row 2.*exposure"):
-            load_table(io.StringIO(text))
+            load_csv(tmp_path, text)
 
-    def test_duplicate_cells_rejected(self):
+    def test_duplicate_cells_rejected(self, tmp_path):
         text = "age,year,deaths,exposure\n50,2011,722,100000\n50,2011,3,100000\n"
         with pytest.raises(ValueError, match="duplicate"):
-            load_table(io.StringIO(text))
+            load_csv(tmp_path, text)
 
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(11)
         cells = [
             MortalityCell(age=a, year=y, deaths=float(rng.uniform(1, 900)), exposure=float(rng.uniform(1e4, 1e6)))
@@ -135,18 +140,16 @@ class TestLoadSave:
             for a in range(50, 55)
         ]
         table = MortalityTable(cells)
-        buf = io.StringIO()
-        save_table(table, buf)
-        reloaded = load_table(io.StringIO(buf.getvalue()))
+        save_table(table, tmp_path / "table.csv")
+        reloaded = load_table(tmp_path / "table.csv")
         assert reloaded == table
         # log rates recomputed on load agree exactly with the originals
         np.testing.assert_array_equal(reloaded.responses(), table.responses())
 
-    def test_saved_log_rate_has_six_decimals(self):
+    def test_saved_log_rate_has_six_decimals(self, tmp_path):
         table = make_grid([2000], [60])
-        buf = io.StringIO()
-        save_table(table, buf)
-        log_rate_field = buf.getvalue().splitlines()[1].split(",")[4]
+        save_table(table, tmp_path / "table.csv")
+        log_rate_field = (tmp_path / "table.csv").read_text().splitlines()[1].split(",")[4]
         assert len(log_rate_field.split(".")[1]) == 6
 
 

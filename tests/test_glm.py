@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mortgp.glm as glm_mod
 from mortgp import (
     KernelFamily,
     KernelHyperparams,
@@ -81,10 +82,11 @@ class TestFitPoissonGlm:
         with pytest.raises(ValueError, match="rank deficient"):
             fit_poisson_glm(table, MeanBasis.QUADRATIC_AGE)
 
-    def test_non_convergence_raises_with_trace(self):
+    def test_non_convergence_raises_with_trace(self, monkeypatch):
         table = poisson_table((-4.0, 0.05, -0.01), range(0, 15), range(0, 8), exposure=2e4, seed=80)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            fit_poisson_glm(table, MeanBasis.LINEAR, max_iter=1)
+        monkeypatch.setattr(glm_mod, "MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+            fit_poisson_glm(table, MeanBasis.LINEAR)
 
 
 class TestGlmPredict:

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import mortgp.gp as gp_mod
+import mortgp.hyperfit as hyperfit
 import mortgp.kernels as kernels_mod
 from mortgp import (
     ConstantNoise,
@@ -480,7 +482,7 @@ def assert_routes_agree(grid, dense, ages, years, seed=0):
 
 
 # the raw search box of fit_mle, and its corners where the noise is at least 1e-6 of eta^2
-BOX = FitConfig()
+BOX = SimpleNamespace(theta_bounds=hyperfit.THETA_BOUNDS, eta_sq_bounds=hyperfit.ETA_SQ_BOUNDS, sigma_sq_bounds=hyperfit.SIGMA_SQ_BOUNDS)
 BOX_CORNERS = [
     KernelHyperparams(t_ag, t_yr, eta_sq, sigma_sq)
     for t_ag, t_yr, eta_sq, sigma_sq in itertools.product(BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds)
@@ -664,6 +666,44 @@ class TestGridWhitenerWithHoles:
             got, want = grid.whitener.solve(r), dense.whitener.solve(r)
             assert is_grid(grid) and got.shape == r.shape
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+# Points of the two property tests above, drawn at other Hypothesis seeds, where the routes' means at
+# ``assert_routes_agree``'s scattered queries differ by 1.2-3.4e-10, past its fixed 1e-10 gate: the squared
+# exponential at sigma^2 / eta^2 of 1.3-3.2e-6, on ``grid_xy`` data at seed 0.  Against a 40-digit mpmath
+# solve both routes are off there, the grid route by up to 1.2e-10 and the dense one by up to 3.1e-10, so
+# 1e-10 is below float64's floor and each route is held to eps * cond(A) * max|mean| of that reference.
+# Each point: ages, years, basis, fractions of the log box, hole fractions, reference means.
+FLOOR_POINTS = [
+    ([0, 1], range(1950, 1956), None, (0, 0.5, 1, 0.625), [],
+     [-6.234790176748853, -6.157900613100543, -6.103617726196963, -5.450224027132769, -5.0234766577702, -6.071741105781676]),
+    (range(5), [1950, 1951], MeanBasis.INTERCEPT, (1, 0, 0.1875, 0), [],
+     [-8.576991779234085, -8.576993930630142, -8.576907193971447, -8.57699393093062, -8.576993930930458, -5.740413901122242]),
+    ([0, 2], range(1950, 1953), MeanBasis.INTERCEPT, (0, 0.75, 0.3125, 0.0625), [],
+     [-8.448828991864765, -7.893834152155205, -6.147129934986838, -6.531077918180443, -6.864443753665949, -6.074515565434137]),
+    ([0, 1], range(1950, 1955), None, (0, 0.5, 0.21875, 0), [0.0],
+     [-6.904045868696378, -8.048638261666618, -6.390113543528258, -10.653990374769213, -8.030722523687826, -6.049260841688332]),
+]
+
+
+@pytest.mark.parametrize("ages, years, basis, fractions, holes, reference", FLOOR_POINTS)
+def test_routes_within_conditioning_of_reference_at_float64_floor(ages, years, basis, fractions, holes, reference):
+    bounds = np.log([BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds])
+    hp = KernelHyperparams(*np.exp(bounds[:, 0] + np.array(fractions) * (bounds[:, 1] - bounds[:, 0])))
+    x, y = grid_xy(ages, years)
+    keep = np.ones(x.shape[0], dtype=bool)
+    keep[[int(h * x.shape[0]) for h in holes]] = False
+    x, y = x[keep], y[keep]
+    ages, years = np.unique(x[:, 0]), np.unique(x[:, 1])
+    rng = np.random.default_rng(0)
+    scattered = np.column_stack([rng.uniform(ages[0], ages[-1], 6), rng.uniform(years[0], years[-1] + 5, 6)])
+    cond = np.linalg.cond(cov_matrix(SQEXP, hp, x) + hp.sigma_sq * np.eye(x.shape[0]))
+    gate = np.finfo(float).eps * cond * np.abs(reference).max()
+    grid = fit_gls_xy(x, y, SQEXP, hp, basis=basis)
+    dense = dense_route(fit_gls_xy, x, y, SQEXP, hp, basis=basis)
+    assert is_grid(grid) and has_holes(grid) == bool(holes) and not is_grid(dense)
+    for gp in (grid, dense):
+        np.testing.assert_allclose(predict(gp, scattered).mean, reference, rtol=0, atol=gate)
 
 
 class TestWhitenerRoute:

@@ -86,8 +86,7 @@ class TestFitMle:
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_profiling_consistency_at_optimum(self, sim_table, family):
-        config = quick_config(tol=1e-9, xatol=1e-6)
-        result = fit_mle(sim_table, family=family, config=config)
+        result = fit_mle(sim_table, family=family, config=quick_config())
         base = result.log_likelihood
         fields = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
         for name in fields:
@@ -95,7 +94,7 @@ class TestFitMle:
                 kwargs = {f: getattr(result.hp, f) for f in fields}
                 kwargs[name] = kwargs[name] * bump
                 perturbed = log_marginal_likelihood(sim_table, family, KernelHyperparams(**kwargs))
-                assert perturbed <= base + config.tol
+                assert perturbed <= base + 1e-9
 
     def test_response_shift_moves_only_intercept(self, sim_table):
         r1 = fit_mle(sim_table, config=quick_config())
@@ -119,13 +118,15 @@ class TestFitMle:
         assert result.bound_hit
         assert result.converged
 
-    def test_bound_stop_without_success_is_not_converged(self):
+    def test_bound_stop_without_success_is_not_converged(self, monkeypatch):
         table = white_noise_table()
         # uncapped, both restarts converge on a bound in 29 and 38 iterations;
         # after 20 the best one is on the bound but not yet converged
+        real = hyperfit.minimize
+        monkeypatch.setattr(hyperfit, "minimize", lambda *args, options, **kw: real(*args, options={**options, "maxiter": 20}, **kw))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_mle(table, config=quick_config(max_iter=20))
+            result = fit_mle(table, config=quick_config())
         best = max(result.restart_trace, key=lambda rec: rec.log_likelihood)
         assert best.iterations == 20
         assert result.bound_hit and best.bound_hit
@@ -141,8 +142,8 @@ class TestFitMle:
             warnings.simplefilter("ignore")
             result = fit_mle(table, config=config)
         elapsed = time.perf_counter() - start
-        raw_bounds = {"theta_ag": config.theta_bounds, "theta_yr": config.theta_bounds}
-        raw_bounds.update(eta_sq=config.eta_sq_bounds, sigma_sq=config.sigma_sq_bounds)
+        raw_bounds = {"theta_ag": hyperfit.THETA_BOUNDS, "theta_yr": hyperfit.THETA_BOUNDS}
+        raw_bounds.update(eta_sq=hyperfit.ETA_SQ_BOUNDS, sigma_sq=hyperfit.SIGMA_SQ_BOUNDS)
         for rec in result.restart_trace:
             assert type(rec.message) is str and rec.message
             assert type(rec.seconds) is float and rec.seconds > 0.0
