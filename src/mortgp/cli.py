@@ -233,7 +233,7 @@ def cmd_sample(args, out: Path) -> None:
 def cmd_update(args, out: Path) -> None:
     gp = load_model(args.model)
     new_cells = load_table(args.new_data)
-    if not new_cells.training_cells():
+    if not new_cells.trainable.any():
         raise ValueError(f"new data {args.new_data} has no trainable cells (deaths > 0)")
     updated = upd_mod.update(gp, new_cells)
     probes = np.asarray(args.probes, dtype=float) if args.probes else new_cells.inputs()
@@ -288,9 +288,8 @@ def cmd_experiment(args, out: Path) -> None:
         probes = np.array([[a, probe_year] for a in args.probe_ages], dtype=float)
         post = gp_mod.predict(gp, probes)
         for i, age in enumerate(args.probe_ages):
-            observed = ""
-            if full.has_cell(int(age), probe_year):
-                observed = float(full.cell(int(age), probe_year).log_rate)
+            hit = full.log_rate[(full.age == age) & (full.year == probe_year)]
+            observed = float(hit[0]) if hit.size else ""
             summary_rows.append([subset_name, mean_name, int(age), probe_year, post.mean[i].item(), post.sd[i].item(), observed])
 
         test_spec = TEST_PRESETS.get(subset_name)

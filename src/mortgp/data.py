@@ -42,8 +42,10 @@ class MortalityCell:
             raise ValueError(f"cell ({self.age},{self.year}): deaths must be non-negative, got {self.deaths}")
         if self.deaths >= self.exposure:
             raise ValueError(f"cell ({self.age},{self.year}): deaths ({self.deaths}) must be below exposure ({self.exposure})")
-        rate = math.log(self.deaths / self.exposure) if self.deaths > 0 else math.nan
-        object.__setattr__(self, "log_rate", rate)
+        rate = self.deaths / self.exposure
+        if self.deaths > 0 and rate == 0:
+            raise ValueError(f"cell ({self.age},{self.year}): deaths / exposure ({self.deaths} / {self.exposure}) underflows to 0")
+        object.__setattr__(self, "log_rate", math.log(rate) if self.deaths > 0 else math.nan)
 
     @property
     def trainable(self) -> bool:
@@ -57,64 +59,77 @@ class MortalityCell:
 
 
 class MortalityTable:
-    """An immutable, deterministically ordered collection of mortality cells.
+    """An immutable mortality table: read-only columns sorted by (year, age), no (age, year) pair twice.
 
-    Cells are sorted by (year, age) at construction and duplicate (age, year)
-    pairs are rejected.  Zero-death cells are kept but flagged; they do not
-    appear in the training arrays returned by :meth:`inputs` / :meth:`responses`.
+    ``age`` and ``year`` are int64, ``deaths`` and ``exposure`` float64.
+    ``log_rate`` is derived by ``math.log`` per cell, NaN where deaths are
+    zero; ``trainable`` marks the other cells, the only ones in :meth:`inputs`
+    and :meth:`responses`.  Zero-death cells are kept but flagged.  ``cells``
+    is a row view of :class:`MortalityCell`, built on first use.
     """
 
-    def __init__(self, cells: Iterable[MortalityCell]):
-        ordered = sorted(cells, key=lambda c: (c.year, c.age))
-        self._index = {}
-        for c in ordered:
-            if (c.age, c.year) in self._index:
-                raise ValueError(f"duplicate cell for age {c.age}, year {c.year}")
-            self._index[(c.age, c.year)] = c
-        self._cells = tuple(ordered)
-        n_zero = sum(1 for c in ordered if not c.trainable)
-        if n_zero:
-            warnings.warn(f"{n_zero} zero-death cell(s) flagged; they are excluded from training", stacklevel=2)
+    def __init__(self, cells: Iterable[MortalityCell] = (), *, _columns=None):
+        cells = [(c.age, c.year, c.deaths, c.exposure) for c in cells]
+        self._set(*(np.array(cells, dtype=float).reshape(-1, 4).T if _columns is None else _columns))
+
+    def _set(self, age, year, deaths, exposure, log_rate=None) -> None:
+        # a log_rate column comes with a table's own columns, in its order; else check, sort and derive
+        if log_rate is None:
+            ay = np.abs(np.array([age, year]))
+            valid = np.all((np.trunc(ay) == ay) & (ay < 2.0**53)) and np.all((deaths >= 0) & (deaths < exposure) & (exposure < math.inf))
+            if not valid:
+                raise ValueError("ages and years must be integers below 2**53 in magnitude, and 0 <= deaths < exposure < inf")
+            order = np.lexsort((age, year))
+            age, year, deaths, exposure = age[order].astype(np.int64), year[order].astype(np.int64), deaths[order], exposure[order]
+            dup = np.flatnonzero((age[1:] == age[:-1]) & (year[1:] == year[:-1]))
+            if dup.size:
+                raise ValueError(f"duplicate cell for age {age[dup[0]]}, year {year[dup[0]]}")
+            log_rate = np.full(age.size, math.nan)
+            alive = deaths > 0
+            log_rate[alive] = list(map(math.log, (deaths[alive] / exposure[alive]).tolist()))
+            if not alive.all():
+                warnings.warn(f"{age.size - alive.sum()} zero-death cell(s) flagged; they are excluded from training", stacklevel=3)
+        self.age, self.year, self.deaths, self.exposure, self.log_rate, self.trainable = age, year, deaths, exposure, log_rate, deaths > 0
+        for column in (self.age, self.year, self.deaths, self.exposure, self.log_rate, self.trainable):
+            column.flags.writeable = False
+        self._cells = None
 
     @property
     def cells(self) -> tuple[MortalityCell, ...]:
+        if self._cells is None:
+            self._cells = tuple(map(MortalityCell, self.age.tolist(), self.year.tolist(), self.deaths.tolist(), self.exposure.tolist()))
         return self._cells
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self.age.size
 
     def __iter__(self):
-        return iter(self._cells)
+        return iter(self.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MortalityTable):
             return NotImplemented
-        return [(c.age, c.year, c.deaths, c.exposure) for c in self._cells] == [
-            (c.age, c.year, c.deaths, c.exposure) for c in other._cells
-        ]
-
-    def training_cells(self) -> tuple[MortalityCell, ...]:
-        return tuple(c for c in self._cells if c.trainable)
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in REQUIRED_COLUMNS)
 
     def inputs(self) -> np.ndarray:
         """(N, 2) array of (age, year) pairs for the trainable cells."""
-        return np.array([[c.age, c.year] for c in self.training_cells()], dtype=float).reshape(-1, 2)
+        return np.column_stack((self.age[self.trainable], self.year[self.trainable])).astype(float)
 
     def responses(self) -> np.ndarray:
         """(N,) array of log rates for the trainable cells."""
-        return np.array([c.log_rate for c in self.training_cells()], dtype=float)
+        return self.log_rate[self.trainable]
 
     def ages(self) -> np.ndarray:
-        return np.array(sorted({c.age for c in self._cells}), dtype=int)
+        return np.unique(self.age)
 
     def cell(self, age: int, year: int) -> MortalityCell:
-        try:
-            return self._index[(age, year)]
-        except KeyError:
-            raise KeyError(f"no cell for age {age}, year {year}") from None
+        row = np.flatnonzero((self.age == age) & (self.year == year))
+        if not row.size:
+            raise KeyError(f"no cell for age {age}, year {year}")
+        return self.cells[row[0]]
 
     def has_cell(self, age: int, year: int) -> bool:
-        return (age, year) in self._index
+        return bool(np.any((self.age == age) & (self.year == year)))
 
 
 @dataclass(frozen=True)
@@ -156,21 +171,16 @@ class SubsetSpec:
             blocks.append(((y0, y1), (a0, a1)))
         return cls(tuple(blocks))
 
-    def contains(self, age: int, year: int) -> bool:
-        return any(y0 <= year <= y1 and a0 <= age <= a1 for (y0, y1), (a0, a1) in self.blocks)
-
 
 def subset(table: MortalityTable, spec: SubsetSpec) -> MortalityTable:
     """Restrict a table to the union of the spec's blocks.
 
     Raises if no cell falls inside the spec (degenerate subset).
     """
-    kept = [c for c in table if spec.contains(c.age, c.year)]
-    if not kept:
+    keep = np.any([(table.year >= y0) & (table.year <= y1) & (table.age >= a0) & (table.age <= a1) for (y0, y1), (a0, a1) in spec.blocks], axis=0)
+    if not keep.any():
         raise ValueError("subset selects no cells")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-death cells were already flagged on load
-        return MortalityTable(kept)
+    return MortalityTable(_columns=[column[keep] for column in (table.age, table.year, table.deaths, table.exposure, table.log_rate)])
 
 
 def load_table(path: Union[str, Path]) -> MortalityTable:
@@ -178,37 +188,41 @@ def load_table(path: Union[str, Path]) -> MortalityTable:
 
     The header must name ``age, year, deaths, exposure`` (case-insensitive,
     any order); an optional ``log_rate`` column is ignored and recomputed.
+    The body is parsed by one quote-aware ``np.loadtxt`` call, whose floats
+    are correctly rounded as ``float``'s are, and checked by column.  A body
+    it cannot parse (blank ``,,,`` rows, ``1_000``) or that fails a check is
+    read again row by row, which names the first bad row.
     """
     with open(path, newline="") as stream:
         reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV: missing header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV: missing header row")
         names = [h.strip().lower() for h in header]
         missing = [c for c in REQUIRED_COLUMNS if c not in names]
         if missing:
             raise ValueError(f"missing required column(s): {', '.join(missing)}")
-        idx = {c: names.index(c) for c in REQUIRED_COLUMNS}
-
-        cells = []
+        idx = [names.index(c) for c in REQUIRED_COLUMNS]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+                columns = np.loadtxt(path, delimiter=",", quotechar='"', skiprows=reader.line_num, usecols=idx, comments=None, ndmin=2, unpack=True)
+            return MortalityTable(_columns=columns)
+        except ValueError:  # read again row by row, which names the first bad row
+            cells = []
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not v.strip() for v in row):
+            if not "".join(row).strip():
                 continue
             try:
-                age = _parse_int(row[idx["age"]], "age")
-                year = _parse_int(row[idx["year"]], "year")
-                deaths = float(row[idx["deaths"]])
-                exposure = float(row[idx["exposure"]])
-                cells.append(MortalityCell(age=age, year=year, deaths=deaths, exposure=exposure))
+                cells.append(MortalityCell(_parse_int(row[idx[0]], "age"), _parse_int(row[idx[1]], "year"), float(row[idx[2]]), float(row[idx[3]])))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
-        return MortalityTable(cells)
+    return MortalityTable(cells)
 
 
 def _parse_int(text: str, name: str) -> int:
     value = float(text)
-    if not value.is_integer():
+    if not value.is_integer() or abs(value) >= 2.0**53:
         raise ValueError(f"{name} must be an integer, got {text!r}")
     return int(value)
 
@@ -219,12 +233,10 @@ def save_table(table: MortalityTable, path: Union[str, Path]) -> None:
     Deaths and exposure use shortest round-trip formatting so that
     ``load_table(save_table(t)) == t`` exactly.
     """
+    log_rates = ["" if math.isnan(v) else f"{v:.6f}" for v in table.log_rate.tolist()]
+    rows = zip(table.age.tolist(), table.year.tolist(), map(repr, table.deaths.tolist()), map(repr, table.exposure.tolist()), log_rates)
     with open(path, "w", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["age", "year", "deaths", "exposure", "log_rate"])
-        for c in table:
-            log_rate = f"{c.log_rate:.6f}" if c.trainable else ""
-            writer.writerow([c.age, c.year, repr(c.deaths), repr(c.exposure), log_rate])
+        csv.writer(stream, lineterminator="\n").writerows([(*REQUIRED_COLUMNS, "log_rate"), *rows])
 
 
 # Named train/test splits used throughout the CLI; blocks are inclusive ranges.

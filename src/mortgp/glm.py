@@ -42,12 +42,11 @@ def _deviance(d: np.ndarray, mu: np.ndarray) -> float:
 
 def fit_poisson_glm(table: MortalityTable, basis: MeanBasis) -> GlmFit:
     """IRLS fit of the Poisson death-count model with offset log(exposure)."""
-    cells = table.cells
-    if not cells:
+    if not len(table):
         raise ValueError("cannot fit a GLM to an empty table")
-    x = np.array([[c.age, c.year] for c in cells], dtype=float)
-    d = np.array([c.deaths for c in cells], dtype=float)
-    offset = np.log(np.array([c.exposure for c in cells], dtype=float))
+    x = np.column_stack((table.age, table.year)).astype(float)
+    d = table.deaths
+    offset = np.log(table.exposure)
 
     p = means.basis_dim(basis)
     if x.shape[0] < p:

@@ -44,9 +44,7 @@ That is no bound: near sigma^2 = 1e-6 eta^2, and at the box's corner
 theta_ag = theta_yr = 100, eta^2 = 1e-6, sigma^2 = 1e-10, it is float64's
 floor.  There each route's means are 0.2-3e-10 from a high-precision reference
 and the two differ by up to 3.4e-10, so the 35 x 16 tests check that corner
-on trend-plus-noise data, not GP draws.  On the ``subset2`` notch at the
-published hyperparameters the likelihood with its gradient costs about a sixth
-of the dense route's.
+on trend-plus-noise data, not GP draws.
 
 Basis coefficients are solved in internally rescaled input coordinates (the
 raw design matrix for a quadratic-age trend over calendar years is too ill
@@ -345,14 +343,11 @@ class _Covariance:
     (``_grid_cells``; ``shape`` and ``cells``), and the noise diagonal is
     constant and positive.  The dense Cholesky is taken otherwise, and also
     when an eigenvalue of the grid covariance is not positive or the Cholesky
-    of the missing cells' M fails (``_GridWhitener``).  For a likelihood with
-    its gradient on the 35 x 16 grid (one BLAS thread) the grid route is 7x
-    faster at m / n = 0.11 (``subset2``) and 2x at m / n = 0.25; the two
-    cross near m / n = 0.5, and M grows as m^2.  The distinct ages
-    and years of x are found once; the 1-D tables over them are the grid's
-    factors, or are gathered into an n x n buffer made on the first dense
-    call, which the Cholesky factorizes in place: a dense whitener lasts until
-    the next call.
+    of the missing cells' M fails (``_GridWhitener``); M grows as m^2.  The
+    distinct ages and years of x are found once; the 1-D tables over them are
+    the grid's factors, or are gathered into an n x n buffer made on the first
+    dense call, which the Cholesky factorizes in place: a dense whitener lasts
+    until the next call.
     """
 
     def __init__(self, family: KernelFamily, x: np.ndarray):

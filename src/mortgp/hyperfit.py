@@ -14,10 +14,9 @@ fill an age x year grid, or miss at most m <= n / 4 of its cells (the
 ``subset2`` notch, zero-death holes; an exact missing-cell correction, whose
 gradient subtracts tr(V^T dA V) over the m missing cells), and the noise is
 constant and positive; the dense Cholesky otherwise, and when the grid
-factorization fails.  On ``subset2`` (n = 504, m = 56) an evaluation with its
-gradient takes about 3 ms against about 18 ms dense.  The reported
-log-likelihood comes from ``gp.fit_gls`` at the best point.  Restarts run one
-after another; results are deterministic for a given config and seed.
+factorization fails.  The reported log-likelihood comes from ``gp.fit_gls``
+at the best point.  Restarts run one after another; results are deterministic
+for a given config and seed.
 
 ``scipy.optimize`` loads on first use, not at import, so that commands which
 never fit (and ``import mortgp``) load no scipy: ``minimize`` is a plain

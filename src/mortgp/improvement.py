@@ -62,19 +62,18 @@ def mi_back_observed(table: MortalityTable, year: int, ages=None) -> Improvement
     if ages is None:
         ages = table.ages()
     ages = np.asarray(ages, dtype=int)
+    row = {cell: i for i, cell in enumerate(zip(table.age.tolist(), table.year.tolist()))}
     kept, values = [], []
     for age in ages:
-        try:
-            now = table.cell(int(age), int(year))
-            prev = table.cell(int(age), int(year) - 1)
-        except KeyError:
+        now, prev = row.get((int(age), int(year))), row.get((int(age), int(year) - 1))
+        if now is None or prev is None:
             warnings.warn(f"age {age}: missing cell in {year} or {year - 1}; omitted", stacklevel=2)
             continue
-        if not (now.trainable and prev.trainable):
+        if not (table.trainable[now] and table.trainable[prev]):
             warnings.warn(f"age {age}: zero-death cell in {year} or {year - 1}; omitted", stacklevel=2)
             continue
         kept.append(int(age))
-        values.append(1.0 - np.exp(now.log_rate - prev.log_rate))
+        values.append(1.0 - np.exp(table.log_rate[now] - table.log_rate[prev]))
     if not kept:
         raise ValueError(f"no age has cells in both {year - 1} and {year}")
     return ImprovementCurve(ages=np.array(kept), year=year, kind="observed", mean=np.array(values))

@@ -182,18 +182,14 @@ NoiseModel = Union[ConstantNoise, DeltaMethodNoise]
 
 def noise_diagonal(model: NoiseModel, table: MortalityTable) -> np.ndarray:
     """Diagonal of the observation-noise matrix over a table's trainable cells."""
-    cells = table.training_cells()
     if isinstance(model, ConstantNoise):
-        return np.full(len(cells), model.sigma_sq, dtype=float)
+        return np.full(int(table.trainable.sum()), model.sigma_sq, dtype=float)
     if isinstance(model, DeltaMethodNoise):
-        if len(cells) != len(table):
+        if not table.trainable.all():
             raise ValueError("delta-method noise requires every cell to have deaths > 0")
-        out = np.empty(len(cells))
-        for i, c in enumerate(cells):
-            e = c.exposure_risk
-            p = c.deaths / e
-            out[i] = model.overdispersion * (1.0 - p) / (p * e)
-        return out
+        e = table.exposure + 0.5 * table.deaths  # exposed to risk
+        p = table.deaths / e
+        return model.overdispersion * (1.0 - p) / (p * e)
     raise TypeError(f"unknown noise model {model!r}")
 
 

@@ -29,6 +29,8 @@ from .means import MeanBasis
 
 SCHEMA_VERSION = 1
 _FIELDS = ("basis", "beta", "family", "hyperparams", "inputs", "noise", "noise_diag", "y")
+_HYPERPARAMS = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
+_NOISE = {"constant": (ConstantNoise, "sigma_sq"), "delta_method": (DeltaMethodNoise, "overdispersion")}
 
 
 def _noise_to_json(noise) -> dict:
@@ -39,12 +41,22 @@ def _noise_to_json(noise) -> dict:
     raise TypeError(f"unknown noise model {noise!r}")
 
 
-def _noise_from_json(obj: dict):
-    if obj["kind"] == "constant":
-        return ConstantNoise(obj["sigma_sq"])
-    if obj["kind"] == "delta_method":
-        return DeltaMethodNoise(obj["overdispersion"])
-    raise ValueError(f"unknown noise kind {obj['kind']!r}")
+def _fields(obj, name: str, keys, source: str) -> dict:
+    """``obj`` if it is an object with exactly ``keys``; else a ValueError naming ``source`` and the field amiss."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{source}: {name} is not a JSON object")
+    missing, extra = [k for k in keys if k not in obj], sorted(set(obj) - set(keys))
+    if missing or extra:
+        raise ValueError(f"{source} {'lacks the' if missing else 'has the unknown'} field {name}.{(missing or extra)[0]}")
+    return obj
+
+
+def _noise_from_json(obj, source: str):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in _NOISE:
+        raise ValueError(f"{source} lacks the field noise.kind" if kind is None else f"unknown noise kind {kind!r}")
+    cls, param = _NOISE[kind]
+    return cls(_fields(obj, "noise", ("kind", param), source)[param])
 
 
 def model_to_dict(gp: FittedGP) -> dict:
@@ -67,7 +79,8 @@ def model_to_dict(gp: FittedGP) -> dict:
     }
 
 
-def model_from_dict(obj: dict) -> FittedGP:
+def model_from_dict(obj: dict, source: str = "model") -> FittedGP:
+    """Refit the model a ``model_to_dict`` payload describes; ``source`` names it in errors about nested fields."""
     if not isinstance(obj, dict):
         raise ValueError(f"a model file holds a JSON object, not a JSON {type(obj).__name__}")
     version = obj.get("schema_version")
@@ -76,10 +89,10 @@ def model_from_dict(obj: dict) -> FittedGP:
     missing = [name for name in _FIELDS if name not in obj]
     if missing:
         raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
-    hp = KernelHyperparams(**obj["hyperparams"])
+    hp = KernelHyperparams(**_fields(obj["hyperparams"], "hyperparams", _HYPERPARAMS, source))
     family = KernelFamily(obj["family"])
     basis = MeanBasis(obj["basis"]) if obj["basis"] is not None else None
-    noise = _noise_from_json(obj["noise"])
+    noise = _noise_from_json(obj["noise"], source)
     gp = gp_mod.fit_gls_xy(
         np.asarray(obj["inputs"], dtype=float),
         np.asarray(obj["y"], dtype=float),
@@ -101,4 +114,4 @@ def save_model(gp: FittedGP, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> FittedGP:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(json.loads(Path(path).read_text()), source=f"model file {path}")

@@ -27,21 +27,17 @@ def update(gp: FittedGP, new_cells: MortalityTable) -> FittedGP:
     must hold at least one trainable cell (deaths > 0); an empty one leaves
     the fit as it was.  Returns a new model; the original is untouched.
     """
-    trainable = new_cells.training_cells()
-    if len(new_cells) and not trainable:
-        raise ValueError(f"new data has no trainable cells: all {len(new_cells)} of its cells have zero deaths")
-    existing = {(int(a), int(yr)) for a, yr in gp.x.tolist()}
-    clash = [(c.age, c.year) for c in trainable if (c.age, c.year) in existing]
-    if clash:
-        raise ValueError(f"new cells overlap training data at (age, year) = {clash[0]}")
-
     x_new = new_cells.inputs()
-    y_new = new_cells.responses()
-    noise_new = kernels.noise_diagonal(gp.noise, new_cells)
+    if len(new_cells) and not x_new.size:
+        raise ValueError(f"new data has no trainable cells: all {len(new_cells)} of its cells have zero deaths")
+    # an (age, year) row as the complex number age + year i, so that rows compare as scalars
+    clash = np.flatnonzero(np.isin(x_new[:, 0] + 1j * x_new[:, 1], gp.x[:, 0] + 1j * gp.x[:, 1]))
+    if clash.size:
+        raise ValueError(f"new cells overlap training data at (age, year) = {(int(x_new[clash[0], 0]), int(x_new[clash[0], 1]))}")
 
     x = np.vstack([gp.x, x_new])
-    y = np.concatenate([gp.y, y_new])
-    noise_diag = np.concatenate([gp.noise_diag, noise_new])
+    y = np.concatenate([gp.y, new_cells.responses()])
+    noise_diag = np.concatenate([gp.noise_diag, kernels.noise_diagonal(gp.noise, new_cells)])
     order = np.lexsort((x[:, 0], x[:, 1]))  # (year, age), matching table ordering
     return gp_mod.fit_gls_xy(
         x[order], y[order], gp.family, gp.hp, basis=gp.basis, noise=gp.noise, noise_diag=noise_diag[order]

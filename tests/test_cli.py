@@ -463,6 +463,17 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(out.iterdir()) == []
 
+    def test_model_with_noise_lacking_kind_names_field_and_file(self, model_dir, tmp_path, capsys):
+        payload = json.loads((model_dir / "model.json").read_text())
+        del payload["noise"]["kind"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        rc = main(["smooth", "--model", str(model), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: model file {model} lacks the field noise.kind\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("probes", ["60", "a:b"])
     def test_malformed_probes_name_flag_and_form(self, model_dir, data_csv, tmp_path, capsys, probes):
         args = ["update", "--model", str(model_dir / "model.json"), "--new-data", str(data_csv), "--probes", probes]

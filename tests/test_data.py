@@ -1,17 +1,32 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortgp import (
+    DeltaMethodNoise,
+    FitConfig,
+    KernelFamily,
+    KernelHyperparams,
+    MeanBasis,
     MortalityCell,
     MortalityTable,
     SubsetSpec,
+    fit_gls,
+    fit_mle,
     load_table,
+    noise_diagonal,
     save_table,
     subset,
+    update,
 )
-from mortgp.data import SUBSET_PRESETS
+from mortgp.data import REQUIRED_COLUMNS, SUBSET_PRESETS
+
+from conftest import simulate_grid_table
 
 
 def make_grid(years, ages, exposure=1e5, rate=0.01):
@@ -194,3 +209,203 @@ class TestSubset:
     def test_parse_round_trip(self):
         spec = SubsetSpec.parse("1999-2010:50-84,2011-2014:50-70")
         assert spec == SUBSET_PRESETS["subset2"]
+
+
+class TestColumns:
+    def test_columns_sorted_typed_and_read_only(self):
+        with pytest.warns(UserWarning, match="1 zero-death"):
+            table = MortalityTable(
+                [
+                    MortalityCell(age=61, year=2001, deaths=3.0, exposure=100.0),
+                    MortalityCell(age=60, year=2001, deaths=0.0, exposure=100.0),
+                    MortalityCell(age=61, year=2000, deaths=2.0, exposure=100.0),
+                ]
+            )
+        assert table.age.tolist() == [61, 60, 61] and table.year.tolist() == [2000, 2001, 2001]
+        assert table.age.dtype == np.int64 and table.deaths.dtype == np.float64
+        assert table.trainable.tolist() == [True, False, True]
+        assert math.isnan(table.log_rate[1]) and table.log_rate[2] == math.log(3.0 / 100.0)
+        with pytest.raises(ValueError, match="read-only"):
+            table.deaths[0] = 1.0
+
+    def test_cells_are_a_row_view_of_the_columns(self, tmp_path):
+        with pytest.warns(UserWarning, match="1 zero-death"):
+            table = load_csv(tmp_path, "age,year,deaths,exposure\n51,2011,0,100000\n50,2011,722,100000\n")
+        assert [(c.age, c.year, c.deaths, c.exposure) for c in table] == [(50, 2011, 722.0, 100000.0), (51, 2011, 0.0, 100000.0)]
+        assert table.cells[0].log_rate == table.log_rate[0] and not table.cells[1].trainable
+        assert table.cell(51, 2011) == table.cells[1] and table.has_cell(50, 2011) and not table.has_cell(50, 2012)
+        with pytest.raises(KeyError, match="no cell for age 52, year 2011"):
+            table.cell(52, 2011)
+        assert table.ages().tolist() == [50, 51]
+
+    def test_fractional_age_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            MortalityTable([MortalityCell(age=60.5, year=2000, deaths=1.0, exposure=100.0)])
+
+    def test_subset_is_a_mask_over_the_columns(self):
+        table = make_grid(range(1999, 2015), range(50, 85))
+        spec = SUBSET_PRESETS["subset2"]
+        keep = np.array([spec.blocks[0][0][0] <= y <= spec.blocks[0][0][1] or a <= 70 for a, y in zip(table.age, table.year)])
+        sub = subset(table, spec)
+        for name in ("age", "year", "deaths", "exposure", "log_rate", "trainable"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(table, name)[keep])
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns, so that a comparison tells -0.0 from 0.0 and one NaN payload from another."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def read_rows_reference(path):
+    """Cell-by-cell reading, as ``load_table`` once did: ``float`` per field, sorted by (year, age)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    names = [h.strip().lower() for h in rows[0]]
+    idx = [names.index(c) for c in ("age", "year", "deaths", "exposure")]
+    cells = [tuple(float(row[i]) for i in idx) for row in rows[1:] if "".join(row).strip()]
+    return sorted(cells, key=lambda c: (c[1], c[0]))
+
+
+def decimal_text(rng, value: float) -> str:
+    """``value`` written in one of several forms, some with more digits than a float holds."""
+    form, value = rng.integers(4), float(value)
+    if form == 0:
+        return repr(value)
+    if form == 1:
+        return f"{value:.6e}"
+    if form == 2:
+        return f"{value:.25g}"  # beyond 17 digits: correct rounding decides the last bit
+    return f"{int(value)}.{rng.integers(10**15):015d}{rng.integers(10**9):09d}"
+
+
+class TestLoaderAgainstRowReference:
+    """``load_table``'s bulk parse against a per-row reading, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_columns_arrays_and_delta_noise_bit_for_bit(self, tmp_path, seed):
+        hp = KernelHyperparams(theta_ag=12.0, theta_yr=9.0, eta_sq=0.5, sigma_sq=1e-4)
+        source = simulate_grid_table(np.arange(0, 101), np.arange(1975, 2015), hp, seed)
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(source))
+        path = tmp_path / "grid.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("Year,deaths,AGE,exposure,note\n")
+            for i in order:
+                exposure = float(rng.uniform(1e4, 1e7))
+                fh.write(f"{source.year[i]},{decimal_text(rng, source.deaths[i] * 1e-3)},{source.age[i]},{decimal_text(rng, exposure)},x\n")
+        table = load_table(path)
+
+        ref = read_rows_reference(path)
+        ages, years, deaths, exposure = (np.array(column) for column in zip(*ref))
+        np.testing.assert_array_equal(table.age, ages.astype(np.int64))
+        np.testing.assert_array_equal(table.year, years.astype(np.int64))
+        np.testing.assert_array_equal(bits(table.deaths), bits(deaths))
+        np.testing.assert_array_equal(bits(table.exposure), bits(exposure))
+        log_rates = [math.log(d / e) for d, e in zip(deaths.tolist(), exposure.tolist())]
+        np.testing.assert_array_equal(bits(table.log_rate), bits(log_rates))
+        np.testing.assert_array_equal(bits(table.inputs()), bits(np.column_stack([ages, years])))
+        np.testing.assert_array_equal(bits(table.responses()), bits(log_rates))
+        k = 1.7
+        delta = []
+        for d, e in zip(deaths.tolist(), exposure.tolist()):
+            risk = e + 0.5 * d
+            p = d / risk
+            delta.append(k * (1.0 - p) / (p * risk))
+        np.testing.assert_array_equal(bits(noise_diagonal(DeltaMethodNoise(k), table)), bits(delta))
+
+
+# one row of each kind that load_table rejects, in (age, year, deaths, exposure) order, and its message
+BAD_ROWS = {
+    "text": (["50", "oops", "722", "100000"], "could not convert string to float: 'oops'"),
+    "fractional_age": (["50.5", "2011", "722", "100000"], "age must be an integer, got '50.5'"),
+    "short": (["50", "2011", "722", "100000"], "list index out of range"),  # the last field is dropped
+    "zero_exposure": (["50", "2011", "0", "0"], "cell (50,2011): exposure must be positive, got 0.0"),
+    "negative_deaths": (["50", "2011", "-1", "100000"], "cell (50,2011): deaths must be non-negative, got -1.0"),
+    "deaths_at_exposure": (["50", "2011", "100", "100"], "cell (50,2011): deaths (100.0) must be below exposure (100.0)"),
+    "rate_underflow": (["50", "2011", "5e-324", "2"], "cell (50,2011): deaths / exposure (5e-324 / 2.0) underflows to 0"),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """Valid cells and a CSV text of them with the forms ``load_table`` accepts, maybe with duplicates and bad rows.
+
+    Returns ``(cells, text, error)``: ``error`` is the message ``load_table`` must raise, or None.
+    """
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(2000, 2004)), min_size=1, max_size=12, unique=True))
+    cells = []
+    for age, year in keys:
+        exposure = draw(st.floats(1.0, 1e7))
+        deaths = draw(st.one_of(st.just(0.0), st.floats(0.0, exposure, exclude_max=True).filter(lambda d: d / exposure > 0)))
+        cells.append((age, year, deaths, exposure))
+    order = draw(st.permutations(range(4)))  # header position j holds field order[j]
+    header = [draw(st.sampled_from([name, name.upper(), name.title()])) for name in (REQUIRED_COLUMNS[j] for j in order)]
+    extra = draw(st.sampled_from([None, ("log_rate", "3.14"), ("note", '"x, y"')]))
+    lay_out = lambda fields: [fields[j] for j in order] + ([extra[1]] if extra else [])  # noqa: E731
+    rows = []
+    for age, year, deaths, exposure in draw(st.permutations(cells)):
+        age_text = draw(st.sampled_from([str(age), f"{age}.0", f" {age}"]))
+        rows.append(lay_out([age_text, str(year), repr(deaths), repr(exposure)]))
+        rows += draw(st.lists(st.sampled_from([[], [""] * len(header), [" "]]), max_size=1))  # blank, ",,," and "  " rows
+    duplicate = draw(st.one_of(st.none(), st.sampled_from(cells)))
+    if duplicate is not None:
+        age, year, deaths, exposure = duplicate
+        rows.insert(draw(st.integers(0, len(rows))), lay_out([str(age), str(year), repr(deaths / 2), repr(exposure)]))
+    bad = []
+    for kind in draw(st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=2)):
+        fields, message = BAD_ROWS[kind]
+        row = lay_out(fields)[: 3 if kind == "short" else None]
+        at = draw(st.integers(0, len(rows)))
+        bad = [(at2 + (at2 >= at), message2) for at2, message2 in bad] + [(at, message)]
+        rows.insert(at, row)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from(["", newline]))
+    if bad:
+        at, message = min(bad)
+        error = f"row {at + 2}: {message}"  # the header is row 1
+    elif duplicate is not None:
+        error = f"duplicate cell for age {duplicate[0]}, year {duplicate[1]}"
+    else:
+        error = None
+    return cells, text, error
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=csv_tables())
+def test_load_table_over_csv_edge_cases(drawn, tmp_path_factory):
+    cells, text, error = drawn
+    path = tmp_path_factory.getbasetemp() / "edge.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-death cells are flagged
+        if error is not None:
+            with pytest.raises(ValueError) as caught:
+                load_table(path)
+            assert str(caught.value) == error
+            return
+        table = load_table(path)
+    cells = sorted(cells, key=lambda c: (c[1], c[0]))
+    ages, years, deaths, exposure = (list(column) for column in zip(*cells))
+    assert table.age.tolist() == ages and table.year.tolist() == years
+    np.testing.assert_array_equal(bits(table.deaths), bits(deaths))
+    np.testing.assert_array_equal(bits(table.exposure), bits(exposure))
+    np.testing.assert_array_equal(bits(table.log_rate), bits([math.log(d / e) if d > 0 else math.nan for d, e in zip(deaths, exposure)]))
+
+
+def test_load_subset_fit_and_update_build_no_cells(tmp_path, monkeypatch):
+    """Loading, subsetting, fitting and updating read the columns: not one ``MortalityCell`` is built."""
+    hp = KernelHyperparams(theta_ag=12.0, theta_yr=9.0, eta_sq=0.5, sigma_sq=1e-4)
+    source = simulate_grid_table(np.arange(50, 85), np.arange(1999, 2016), hp, seed=4)
+    save_table(subset(source, SubsetSpec.rectangle((1999, 2014), (50, 84))), tmp_path / "data.csv")
+    save_table(subset(source, SubsetSpec.rectangle((2015, 2015), (50, 84))), tmp_path / "new.csv")
+    built = []
+    post_init = MortalityCell.__post_init__
+    monkeypatch.setattr(MortalityCell, "__post_init__", lambda cell: (built.append(cell), post_init(cell)))
+
+    train = subset(load_table(tmp_path / "data.csv"), SUBSET_PRESETS["subset2"])
+    result = fit_mle(train, basis=MeanBasis.QUADRATIC_AGE, config=FitConfig(1, 0))
+    gp = fit_gls(train, KernelFamily.SQUARED_EXPONENTIAL, result.hp, basis=MeanBasis.QUADRATIC_AGE)
+    updated = update(gp, load_table(tmp_path / "new.csv"))
+    assert built == []
+    assert updated.n == len(train) + 35
+    assert len(train.cells) == len(built) == 504  # the row view is built on demand, and counted

@@ -85,3 +85,41 @@ class TestRoundTrip:
         payload["beta"] = [0.0, 0.0, 0.0]
         with pytest.warns(UserWarning, match="stored coefficients"):
             model_from_dict(payload)
+
+
+class TestNestedFields:
+    """A ``noise`` or ``hyperparams`` object with a field missing or unknown is named, with the file."""
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda d: d["noise"].pop("kind"), "lacks the field noise.kind"),
+            (lambda d: d["noise"].pop("sigma_sq"), "lacks the field noise.sigma_sq"),
+            (lambda d: d["noise"].update(scale=2.0), "has the unknown field noise.scale"),
+            (lambda d: d["hyperparams"].pop("theta_ag"), "lacks the field hyperparams.theta_ag"),
+            (lambda d: d["hyperparams"].update(theta_sex=3.0), "has the unknown field hyperparams.theta_sex"),
+            (lambda d: d.update(hyperparams=[7.0, 7.0]), "hyperparams is not a JSON object"),
+        ],
+        ids=["noise_kind", "noise_parameter", "noise_extra", "hyperparams_missing", "hyperparams_extra", "hyperparams_list"],
+    )
+    def test_load_model_names_field_and_file(self, tmp_path, edit, problem):
+        payload = model_to_dict(fitted_model())
+        edit(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as caught:
+            load_model(path)
+        separator = ": " if problem.endswith("object") else " "
+        assert str(caught.value) == f"model file {path}{separator}{problem}"
+
+    def test_delta_noise_without_its_factor(self):
+        payload = model_to_dict(fitted_model(noise=DeltaMethodNoise(2.0)))
+        del payload["noise"]["overdispersion"]
+        with pytest.raises(ValueError, match=r"^model lacks the field noise\.overdispersion$"):
+            model_from_dict(payload)
+
+    def test_unknown_noise_kind_still_named(self):
+        payload = model_to_dict(fitted_model())
+        payload["noise"] = {"kind": "poisson"}
+        with pytest.raises(ValueError, match="unknown noise kind 'poisson'"):
+            model_from_dict(payload)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ class TestUpdate:
         overlap = subset(base, SubsetSpec.rectangle((2010, 2010), (50, 55)))
         with pytest.raises(ValueError, match="overlap"):
             update(gp, overlap)
+
+    def test_overlap_names_the_first_clash_in_table_order(self, tables):
+        _, base, new = tables
+        gp = fit_gls(base, SQEXP, HP)
+        cells = [MortalityCell(age=a, year=y, deaths=50.0, exposure=1e4) for a, y in [(69, 2010), (65, 2010), (50, 2011), (68, 2009)]]
+        with pytest.raises(ValueError, match=re.escape("overlap training data at (age, year) = (68, 2009)")):
+            update(gp, MortalityTable(cells))
+        with pytest.raises(ValueError, match=re.escape("overlap training data at (age, year) = (65, 2010)")):
+            update(gp, MortalityTable(cells[:3]))
+        assert update(gp, new).n == gp.n + len(new)
 
     def test_new_data_without_trainable_cells_rejected(self, tables):
         _, base, new = tables
