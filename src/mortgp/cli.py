@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +58,16 @@ def _parse_subset(text: str) -> SubsetSpec | None:
 
 
 def _noise_model(text: str):
-    """``fit_mle``'s noise argument for a ``--noise`` value; ValueError when malformed."""
-    if text == "constant":
-        return "constant"
-    if text.startswith("delta:"):
-        return DeltaMethodNoise(float(text.split(":", 1)[1]))
-    raise ValueError(text)
-
-
-def _parse_noise(text: str) -> str:
-    # checks the form but keeps the string, which manifest.json records
+    """``fit_mle``'s noise argument for a ``--noise`` value.  The parser checks the value with it but keeps the
+    string, which manifest.json records."""
     try:
-        _noise_model(text)
+        if text == "constant":
+            return text
+        if text.startswith("delta:"):
+            return DeltaMethodNoise(float(text.split(":", 1)[1]))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected constant|delta:K with K > 0, got {text!r}") from None
-    return text
+        pass
+    raise argparse.ArgumentTypeError(f"expected constant|delta:K with K > 0, got {text!r}")
 
 
 def _parse_level(text: str) -> float:
@@ -149,30 +145,25 @@ def cmd_fit(args, out: Path) -> None:
     table = _load_training_table(args)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
-    save_model(result.model, out / "model.json")
+    model = result.model
+    save_model(model, out / "model.json")
     rows = [
-        ["theta_ag", result.hp.theta_ag],
-        ["theta_yr", result.hp.theta_yr],
-        ["eta_sq", result.hp.eta_sq],
-        ["sigma_sq", result.hp.sigma_sq],
-        *zip(BETA_LABELS[result.basis], result.beta.tolist()),
-        ["log_likelihood", result.log_likelihood],
+        ["theta_ag", model.hp.theta_ag],
+        ["theta_yr", model.hp.theta_yr],
+        ["eta_sq", model.hp.eta_sq],
+        ["sigma_sq", model.hp.sigma_sq],
+        *zip(BETA_LABELS[model.basis], model.beta.tolist()),
+        ["log_likelihood", model.log_likelihood],
         ["converged", str(result.converged).lower()],
         ["bound_hit", str(result.bound_hit).lower()],
     ]
     _write_estimates(out / "fit.csv", rows)
 
 
-def _write_posterior(out: Path, stem: str, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
-    _write_posterior_csv(out / f"{stem}.csv", xs, post, level)
-    # no indent: with one the stdlib falls back to its pure-Python encoder
-    (out / f"{stem}.json").write_text(json.dumps(post.to_dict(level), sort_keys=True) + "\n")
-
-
 def cmd_smooth(args, out: Path) -> None:
     gp = load_model(args.model)
     post = gp_mod.predict(gp, gp.x)
-    _write_posterior(out, "smooth", gp.x, post, args.level)
+    _write_posterior_csv(out / "smooth.csv", gp.x, post, args.level)
     print(f"wrote in-sample surface for {gp.n} cells to {out / 'smooth.csv'}")
 
 
@@ -182,7 +173,7 @@ def cmd_forecast(args, out: Path) -> None:
     years = np.arange(args.years[0], args.years[1] + 1)
     grid = np.array([[a, y] for y in years for a in ages], dtype=float)
     post = gp_mod.predict_observation(gp, grid) if args.observation else gp_mod.predict(gp, grid)
-    _write_posterior(out, "forecast", grid, post, args.level)
+    _write_posterior_csv(out / "forecast.csv", grid, post, args.level)
     print(f"wrote {grid.shape[0]} forecast cells to {out / 'forecast.csv'}")
 
 
@@ -252,14 +243,6 @@ def cmd_glm(args, out: Path) -> None:
     fit = glm_mod.fit_poisson_glm(table, basis)
     rows = [*zip(BETA_LABELS[basis], fit.beta.tolist())]
     rows += [["deviance", fit.deviance], ["iterations", fit.iterations], ["converged", str(fit.converged).lower()]]
-    payload = {
-        "basis": basis.value,
-        "beta": fit.beta.tolist(),
-        "deviance": fit.deviance,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
-    (out / "glm.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_estimates(out / "glm.csv", rows)
 
 
@@ -332,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, data=True)
     p.add_argument("--mean", choices=sorted(MEAN_NAMES), default="intercept")
     p.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default="sqexp")
-    p.add_argument("--noise", type=_parse_noise, default="constant", help="constant or delta:K (overdispersion factor K)")
+    p.add_argument("--noise", type=lambda text: _noise_model(text) and text, default="constant", help="constant or delta:K (overdispersion factor K)")
     p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(func=cmd_fit)
 
@@ -391,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning that reaches stderr is one line about the input, not the library line that issued it
+    format_warning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -399,6 +384,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # propagate module errors as a nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
     return 0
 
 

@@ -52,11 +52,6 @@ class MortalityCell:
         """Whether the cell carries a defined log rate."""
         return self.deaths > 0
 
-    @property
-    def exposure_risk(self) -> float:
-        """Approximate person-years exposed to risk: population plus half the deaths."""
-        return self.exposure + 0.5 * self.deaths
-
 
 class MortalityTable:
     """An immutable mortality table: read-only columns sorted by (year, age), no (age, year) pair twice.

@@ -6,8 +6,8 @@ equations for beta jointly with conditioning on the observed log rates.  All
 solves against A = C + Sigma go through one whitening operator W with
 W^T W = A^-1, and no explicit matrix inverse is ever formed.  It has two kinds:
 
-* grid: when the inputs are distinct cells, in (year, age) order, of the grid
-  of their distinct ages and years, and the noise diagonal is constant and
+* grid: when the inputs are distinct cells, in any order, of the grid of
+  their distinct ages and years, and the noise diagonal is constant and
   positive (so no jitter is needed), both kernel families factor the full
   grid's A_f = eta^2 K_yr (x) K_ag + sigma^2 I, whitened by
   W_f = D^-1/2 (Q_yr (x) Q_ag)^T from the eigendecompositions of the two 1-D
@@ -141,19 +141,6 @@ class PosteriorSummary:
         z = _quantile_z(level)
         return self.mean - z * self.sd, self.mean + z * self.sd
 
-    def to_dict(self, level: float = 0.95) -> dict:
-        """JSON-ready summary with bands at the given level."""
-        lo, hi = self.band(level)
-        return {
-            "age": self.inputs[:, 0].tolist(),
-            "year": self.inputs[:, 1].tolist(),
-            "mean_log": self.mean.tolist(),
-            "sd_log": self.sd.tolist(),
-            "level": level,
-            "lo": lo.tolist(),
-            "hi": hi.tolist(),
-        }
-
 
 class _CholeskyWhitener:
     """W = L^-1 for the lower Cholesky factor L of the kernel-plus-noise matrix A."""
@@ -189,7 +176,7 @@ class _CholeskyWhitener:
 
 
 def _kron_matmul(a_yr: np.ndarray, a_ag: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(a_yr (x) a_ag) m for square factors and m with rows in (year, age) order."""
+    """(a_yr (x) a_ag) m for square factors and m with rows in year-major order."""
     n_yr, n_ag = a_yr.shape[0], a_ag.shape[0]
     rotated = (a_yr @ m.reshape(n_yr, -1)).reshape(n_yr, n_ag, -1)
     return a_ag @ rotated
@@ -201,13 +188,13 @@ class _GridWhitener:
     ``k_yr`` and ``k_ag`` are the 1-D kernel tables over the grid's years and
     ages, eta^2 in ``k_ag``, and D = lambda_yr (x) lambda_ag + sigma^2 is kept
     as a (years, ages) array.  ``cells`` are the positions of the n rows among
-    the grid's N cells in (year, age) order, None when they are all of them.
+    the grid's N cells, year-major, None when they are all of them in that order.
     P pads n rows to the N cells with zeros at the m missing ones, so
     W_f = D^-1/2 (Q_yr (x) Q_ag)^T whitens the full-grid A_f, which gives the
     missing cells the same noise.  With W_m = W_f E its columns at the missing
     cells and M = W_m^T W_m = L L^T, U = W_m L^-T has orthonormal columns and
     Pi = I - U U^T; by the partitioned inverse (*GPML* §A.3), W^T W = A^-1
-    and log|A| = log|A_f| + log|M|.  W has N rows; with m = 0, Pi = P = I.
+    and log|A| = log|A_f| + log|M|.  W has N rows; with m = 0, Pi = I and P only permutes.
     Raises ``LinAlgError`` when an entry of D is not positive, as a failed
     Cholesky factorization does, or when M's Cholesky fails.
     """
@@ -223,7 +210,7 @@ class _GridWhitener:
         self.sqrt_d = np.sqrt(d)[:, None]
         self.half_logdet = 0.5 * np.log(d).sum()
         self.cells, self.u = cells, None
-        if cells is not None:
+        if cells is not None and cells.size < d.size:
             observed = np.zeros(d.size, dtype=bool)
             observed[cells] = True
             self.missing = np.flatnonzero(~observed)
@@ -319,14 +306,14 @@ class FittedGP:
 
 def _grid_cells(axes):
     """``((years, ages), cells)`` when the n rows ``kernels._axes`` describes are a grid: distinct (age, year) cells
-    in (year, age) order that miss at most ``MAX_MISSING_SHARE`` * n cells of the grid of their distinct ages and
-    years.  Gives the counts of that grid and the rows' positions among its cells, None when the rows are all of
-    them; None when rows repeat a cell, are out of that order or miss more cells."""
+    that miss at most ``MAX_MISSING_SHARE`` * n cells of the grid of their distinct ages and years.  Gives the counts
+    of that grid and the rows' positions among its cells, year-major, None when the rows are all of them in that
+    order; None when rows repeat a cell or miss more cells."""
     (ages, ia), (years, iy) = axes
     cells, size = ia + ages.size * iy, ages.size * years.size
-    if not cells.size or np.any(np.diff(cells) <= 0) or size - cells.size > MAX_MISSING_SHARE * cells.size:
+    if not cells.size or size - cells.size > MAX_MISSING_SHARE * cells.size or np.bincount(cells).max() > 1:
         return None
-    return (years.size, ages.size), (None if cells.size == size else cells)
+    return (years.size, ages.size), (None if np.array_equal(cells, np.arange(size)) else cells)
 
 
 def _jitter(hp: KernelHyperparams, noise_diag: np.ndarray) -> float:
@@ -339,7 +326,7 @@ class _Covariance:
 
     This is the one rule for which whitener represents A.  The grid kind is
     taken when the rows of x are distinct cells of the grid of their ages and
-    years, in (year, age) order, missing at most m <= n / 4 of its cells
+    years, in any order, missing at most m <= n / 4 of its cells
     (``_grid_cells``; ``shape`` and ``cells``), and the noise diagonal is
     constant and positive.  The dense Cholesky is taken otherwise, and also
     when an eigenvalue of the grid covariance is not positive or the Cholesky
@@ -644,10 +631,10 @@ def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:
     """
     xs = np.asarray(x_star, dtype=float).reshape(-1, 2)
     d = _cross(gp, xs, kernels._dfactor)
-    # year-derivative of the rescaled basis is constant across inputs
-    dh = means.dbasis_dyr(gp.basis) / gp.basis_scale[1]
+    # year enters every basis linearly, so the rescaled basis's year-derivative is one row for all inputs
+    dh = (means.basis_matrix(gp.basis, [[0, 1]]) - means.basis_matrix(gp.basis, [[0, 0]])) / gp.basis_scale[1]
     prior_var = gp.hp.eta_sq * kernels._d2factor(gp.family, 0.0, gp.hp.theta_yr)
-    mean, var, _ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.size)), prior_var)
+    mean, var, _ = _condition(gp, d, np.broadcast_to(dh, (xs.shape[0], dh.shape[1])), prior_var)
     return PosteriorSummary(inputs=xs, mean=mean, variance=var)
 
 

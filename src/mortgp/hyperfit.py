@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -90,16 +90,10 @@ class RestartRecord:
 
 @dataclass
 class FitResult:
-    hp: KernelHyperparams
-    beta: np.ndarray
-    log_likelihood: float
+    model: FittedGP  # the refit at the best estimate: its hp, beta, log_likelihood, family, basis and noise
     restart_trace: list[RestartRecord]
     converged: bool  # the best restart succeeded: the optimizer reported success and no evaluation failed
     bound_hit: bool  # the best estimate lies on a bound of the search box
-    family: KernelFamily
-    basis: Optional[MeanBasis]
-    noise: Union[ConstantNoise, DeltaMethodNoise]
-    model: FittedGP = field(repr=False, default=None)
 
 
 class _ProfiledLikelihood:
@@ -226,15 +220,4 @@ def fit_mle(
     hp = KernelHyperparams(**best.end)  # sigma_sq 0 when the noise is fixed
     noise_model = ConstantNoise(hp.sigma_sq) if estimate_sigma else noise
     model = gp_mod.fit_gls(table, family, hp, noise=noise_model, basis=basis)
-    return FitResult(
-        hp=hp,
-        beta=model.beta,
-        log_likelihood=model.log_likelihood,
-        restart_trace=trace,
-        converged=best.success,
-        bound_hit=best.bound_hit,
-        family=family,
-        basis=basis,
-        noise=noise_model,
-        model=model,
-    )
+    return FitResult(model, trace, converged=best.success, bound_hit=best.bound_hit)

@@ -58,24 +58,29 @@ def _gaussian_curve(ages: np.ndarray, year: float, kind: str, mean: np.ndarray, 
 
 
 def mi_back_observed(table: MortalityTable, year: int, ages=None) -> ImprovementCurve:
-    """Raw year-over-year improvement 1 - m(age, year)/m(age, year-1)."""
+    """Raw year-over-year improvement 1 - m(age, year)/m(age, year-1).
+
+    Ages without two trainable cells are omitted, with one warning per reason that lists them.
+    """
     if ages is None:
         ages = table.ages()
     ages = np.asarray(ages, dtype=int)
     row = {cell: i for i, cell in enumerate(zip(table.age.tolist(), table.year.tolist()))}
-    kept, values = [], []
-    for age in ages:
-        now, prev = row.get((int(age), int(year))), row.get((int(age), int(year) - 1))
+    kept, values, omitted = [], [], {"a missing cell": [], "a zero-death cell": []}
+    for age in ages.tolist():
+        now, prev = row.get((age, int(year))), row.get((age, int(year) - 1))
         if now is None or prev is None:
-            warnings.warn(f"age {age}: missing cell in {year} or {year - 1}; omitted", stacklevel=2)
-            continue
-        if not (table.trainable[now] and table.trainable[prev]):
-            warnings.warn(f"age {age}: zero-death cell in {year} or {year - 1}; omitted", stacklevel=2)
-            continue
-        kept.append(int(age))
-        values.append(1.0 - np.exp(table.log_rate[now] - table.log_rate[prev]))
+            omitted["a missing cell"].append(age)
+        elif not (table.trainable[now] and table.trainable[prev]):
+            omitted["a zero-death cell"].append(age)
+        else:
+            kept.append(age)
+            values.append(1.0 - np.exp(table.log_rate[now] - table.log_rate[prev]))
     if not kept:
         raise ValueError(f"no age has cells in both {year - 1} and {year}")
+    for reason, skipped in omitted.items():
+        if skipped:
+            warnings.warn(f"{reason} in {year} or {year - 1}; omitted age(s) {', '.join(map(str, skipped))}", stacklevel=2)
     return ImprovementCurve(ages=np.array(kept), year=year, kind="observed", mean=np.array(values))
 
 

@@ -145,12 +145,6 @@ def _require_differentiable(family: KernelFamily) -> None:
         )
 
 
-def dcross_cov_dyr(hp: KernelHyperparams, X, Xstar, family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL) -> np.ndarray:
-    """(N, M) derivative of cross_cov(X, Xstar) in xstar's year, C (x_yr - xstar_yr) / theta_yr^2 for the
-    squared-exponential; the sign is pinned by d/dh C(x, xstar + h e_yr) at h = 0."""
-    return _separable(family, hp, X, Xstar, _dfactor)
-
-
 @dataclass(frozen=True)
 class ConstantNoise:
     """Homoskedastic observation noise with a single variance."""

@@ -21,9 +21,7 @@ class MeanBasis(enum.Enum):
 
 
 def basis_dim(basis: MeanBasis | None) -> int:
-    if basis is None:
-        return 0
-    return {MeanBasis.INTERCEPT: 1, MeanBasis.LINEAR: 3, MeanBasis.QUADRATIC_AGE: 4}[basis]
+    return basis_matrix(basis, [[0.0, 0.0]]).shape[1]
 
 
 def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:
@@ -54,19 +52,6 @@ def design(basis: MeanBasis | None, x: np.ndarray):
     if h.shape[1] and np.linalg.matrix_rank(h) < h.shape[1]:
         raise ValueError("mean basis design matrix is rank deficient on these inputs")
     return h, center, scale
-
-
-def dbasis_dyr(basis: MeanBasis | None) -> np.ndarray:
-    """Year-derivative of the basis vector (constant for these variants)."""
-    if basis is None:
-        return np.empty(0)
-    if basis is MeanBasis.INTERCEPT:
-        return np.array([0.0])
-    if basis is MeanBasis.LINEAR:
-        return np.array([0.0, 0.0, 1.0])
-    if basis is MeanBasis.QUADRATIC_AGE:
-        return np.array([0.0, 0.0, 1.0, 0.0])
-    raise ValueError(f"unknown mean basis {basis!r}")
 
 
 def basis_change_matrix(basis: MeanBasis | None, center, scale) -> np.ndarray:

@@ -33,14 +33,6 @@ _HYPERPARAMS = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
 _NOISE = {"constant": (ConstantNoise, "sigma_sq"), "delta_method": (DeltaMethodNoise, "overdispersion")}
 
 
-def _noise_to_json(noise) -> dict:
-    if isinstance(noise, ConstantNoise):
-        return {"kind": "constant", "sigma_sq": noise.sigma_sq}
-    if isinstance(noise, DeltaMethodNoise):
-        return {"kind": "delta_method", "overdispersion": noise.overdispersion}
-    raise TypeError(f"unknown noise model {noise!r}")
-
-
 def _fields(obj, name: str, keys, source: str) -> dict:
     """``obj`` if it is an object with exactly ``keys``; else a ValueError naming ``source`` and the field amiss."""
     if not isinstance(obj, dict):
@@ -60,16 +52,12 @@ def _noise_from_json(obj, source: str):
 
 
 def model_to_dict(gp: FittedGP) -> dict:
+    ((kind, param),) = [(kind, param) for kind, (cls, param) in _NOISE.items() if isinstance(gp.noise, cls)]
     return {
         "schema_version": SCHEMA_VERSION,
         "family": gp.family.value,
-        "hyperparams": {
-            "theta_ag": gp.hp.theta_ag,
-            "theta_yr": gp.hp.theta_yr,
-            "eta_sq": gp.hp.eta_sq,
-            "sigma_sq": gp.hp.sigma_sq,
-        },
-        "noise": _noise_to_json(gp.noise),
+        "hyperparams": {name: getattr(gp.hp, name) for name in _HYPERPARAMS},
+        "noise": {"kind": kind, param: getattr(gp.noise, param)},
         "basis": gp.basis.value if gp.basis is not None else None,
         "beta": gp.beta.tolist(),
         "inputs": gp.x.tolist(),

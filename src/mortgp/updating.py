@@ -38,7 +38,7 @@ def update(gp: FittedGP, new_cells: MortalityTable) -> FittedGP:
     x = np.vstack([gp.x, x_new])
     y = np.concatenate([gp.y, new_cells.responses()])
     noise_diag = np.concatenate([gp.noise_diag, kernels.noise_diagonal(gp.noise, new_cells)])
-    order = np.lexsort((x[:, 0], x[:, 1]))  # (year, age), matching table ordering
+    order = np.lexsort((x[:, 0], x[:, 1]))  # (year, age) rows in model_updated.json; the whitener takes any order
     return gp_mod.fit_gls_xy(
         x[order], y[order], gp.family, gp.hp, basis=gp.basis, noise=gp.noise, noise_diag=noise_diag[order]
     )

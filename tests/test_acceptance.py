@@ -131,9 +131,12 @@ def test_criterion_05_kernel_derivative_formulas():
         x = rng.uniform(0, 40, 2)
         xp = rng.uniform(0, 40, 2)
         fd1 = (cross_cov(SQEXP, hp, x, xp + [0, h])[0, 0] - cross_cov(SQEXP, hp, x, xp - [0, h])[0, 0]) / (2 * h)
-        d1 = kernels.dcross_cov_dyr(hp, x, xp)[0, 0]
+        d1 = kernels._separable(SQEXP, hp, x, xp, kernels._dfactor)[0, 0]
         assert abs(d1 - fd1) / (abs(d1) + 1e-12) < 1e-5
-        fd2 = (kernels.dcross_cov_dyr(hp, x + [0, h], xp)[0, 0] - kernels.dcross_cov_dyr(hp, x - [0, h], xp)[0, 0]) / (2 * h)
+        fd2 = (
+            kernels._separable(SQEXP, hp, x + [0, h], xp, kernels._dfactor)[0, 0]
+            - kernels._separable(SQEXP, hp, x - [0, h], xp, kernels._dfactor)[0, 0]
+        ) / (2 * h)
         d2 = kernels._separable(SQEXP, hp, x, xp, kernels._d2factor)[0, 0]
         assert abs(d2 - fd2) / (abs(d2) + 1e-12) < 1e-5
 
@@ -148,9 +151,9 @@ def test_criterion_06_hyperparameter_recovery():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = fit_mle(table, config=FitConfig(n_restarts=1, seed=seed))
-        ratios["theta_ag"].append(result.hp.theta_ag / true.theta_ag)
-        ratios["theta_yr"].append(result.hp.theta_yr / true.theta_yr)
-        ratios["sigma_sq"].append(result.hp.sigma_sq / true.sigma_sq)
+        ratios["theta_ag"].append(result.model.hp.theta_ag / true.theta_ag)
+        ratios["theta_yr"].append(result.model.hp.theta_yr / true.theta_yr)
+        ratios["sigma_sq"].append(result.model.hp.sigma_sq / true.sigma_sq)
     assert abs(np.median(ratios["theta_ag"]) - 1.0) < 0.40
     assert abs(np.median(ratios["theta_yr"]) - 1.0) < 0.40
     assert abs(np.median(ratios["sigma_sq"]) - 1.0) < 0.25
@@ -241,8 +244,8 @@ def test_criterion_10a_full_data_mle(cdc_table):
     published = {"theta_ag": 15.8384, "theta_yr": 15.5308, "eta_sq": 1.8468, "sigma_sq": 2.808e-4}
     result = fit_mle(cdc_table, basis=MeanBasis.INTERCEPT, config=FitConfig(n_restarts=8, seed=0))
     for name, target in published.items():
-        assert abs(getattr(result.hp, name) - target) / abs(target) < 0.10
-    assert abs(result.beta[0] - (-3.8710)) / 3.8710 < 0.10
+        assert abs(getattr(result.model.hp, name) - target) / abs(target) < 0.10
+    assert abs(result.model.beta[0] - (-3.8710)) / 3.8710 < 0.10
 
 
 @needs_cdc
@@ -251,11 +254,11 @@ def test_criterion_10b_trend_coefficients(cdc_table):
     train = subset(cdc_table, SUBSET_PRESETS["subset3"])
     for basis, published_yr in ((MeanBasis.LINEAR, -1.397e-2), (MeanBasis.QUADRATIC_AGE, -1.417e-2)):
         result = fit_mle(train, basis=basis, config=FitConfig(n_restarts=8, seed=0))
-        beta_yr = result.beta[2]
+        beta_yr = result.model.beta[2]
         assert beta_yr < 0
         assert abs(beta_yr - published_yr) / abs(published_yr) < 0.25
         if basis is MeanBasis.QUADRATIC_AGE:
-            assert result.beta[1] > 0 and result.beta[3] > 0  # rising, convex age shape
+            assert result.model.beta[1] > 0 and result.model.beta[3] > 0  # rising, convex age shape
 
 
 @needs_cdc

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from mortgp import KernelFamily, KernelHyperparams, MeanBasis, fit_gls, load_mod
 from mortgp.cli import _write_csv, build_parser, main
 from mortgp.data import SUBSET_PRESETS, SubsetSpec
 
-from conftest import table_from_surface, traced_memory
+from conftest import simulate_grid_table, table_from_surface, traced_memory
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +117,11 @@ class TestDownstreamCommands:
         assert len(rows) == 12 * 21  # subset3 training cells
         for row in rows[:5]:
             assert float(row["lo"]) <= float(row["mean_log"]) <= float(row["hi"])
-        payload = json.loads((out / "smooth.json").read_text())
-        assert len(payload["mean_log"]) == 12 * 21
-        assert payload["level"] == 0.95
+        z = NormalDist().inv_cdf(0.975)  # the default --level 0.95, which manifest.json records
+        for row in rows:
+            assert float(row["hi"]) - float(row["mean_log"]) == pytest.approx(z * float(row["sd_log"]), rel=1e-12, abs=1e-15)
+        assert json.loads((out / "manifest.json").read_text())["options"]["level"] == 0.95
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "smooth.csv"]
 
     def test_forecast_latent_vs_observation(self, model_dir, tmp_path):
         base = ["forecast", "--model", str(model_dir / "model.json"), "--years", "2011-2014", "--ages", "50-84"]
@@ -203,9 +207,10 @@ class TestDownstreamCommands:
         out = tmp_path / "glm"
         rc = main(["glm", "--data", str(data_csv), "--subset", "subset3", "--mean", "quadratic", "--out", str(out)])
         assert rc == 0
-        payload = json.loads((out / "glm.json").read_text())
-        assert payload["converged"]
-        assert len(payload["beta"]) == 4
+        estimates = {row["parameter"]: row["estimate"] for row in read_csv(out / "glm.csv")}
+        assert estimates["converged"] == "true"
+        assert [name for name in estimates if name.startswith("beta_")] == ["beta_0", "beta_age", "beta_year", "beta_age_sq"]
+        assert sorted(p.name for p in out.iterdir()) == ["glm.csv", "manifest.json"]
 
     def test_experiment(self, data_csv, tmp_path, capsys):
         out = tmp_path / "exp"
@@ -613,3 +618,56 @@ def test_cli_fit_loads_scipy_optimize(grid_model_files, tmp_path):
     steps = scipy_modules_by_step({"fit": ["fit", "--data", str(grid_model_files / "data.csv"), "--restarts", "1", "--out", str(tmp_path)]})
     assert steps["import mortgp.cli"] == []
     assert "scipy.optimize" in steps["fit"]
+
+
+@pytest.fixture(scope="module")
+def zero_death_csv(tmp_path_factory):
+    """A 10 x 10 GP draw from 2000 on, with zero deaths at (60, 2003), (61, 2005) and (69, 2009)."""
+    table = simulate_grid_table(range(60, 70), range(2000, 2010), KernelHyperparams(8.0, 6.0, 0.3, 1e-3), seed=3)
+    zero = {(60, 2003), (61, 2005), (69, 2009)}
+    rows = [(c.age, c.year, 0.0 if (c.age, c.year) in zero else c.deaths, c.exposure) for c in table]
+    path = tmp_path_factory.mktemp("zero_death") / "data.csv"
+    path.write_text("age,year,deaths,exposure\n" + "".join(f"{a},{y},{d!r},{e!r}\n" for a, y, d, e in rows))
+    return path
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m mortgp.cli`` in a fresh interpreter, with Python's default warning filters."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mortgp.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "mortgp.cli", *argv], capture_output=True, text=True, env=env)
+
+
+class TestWarnings:
+    """A warning reaches stderr as one ``warning: <message>`` line, without the library's path or source line."""
+
+    def test_fit_on_zero_death_cells(self, zero_death_csv, tmp_path):
+        done = run_cli("fit", "--data", str(zero_death_csv), "--restarts", "2", "--out", str(tmp_path))
+        assert done.returncode == 0
+        assert done.stderr == "warning: 3 zero-death cell(s) flagged; they are excluded from training\n"
+
+    def test_improve_obs_omits_ages_in_one_warning(self, zero_death_csv, tmp_path):
+        done = run_cli("improve", "--kind", "obs", "--data", str(zero_death_csv), "--year", "2005", "--out", str(tmp_path))
+        assert done.returncode == 0
+        assert done.stderr == (
+            "warning: 3 zero-death cell(s) flagged; they are excluded from training\n"
+            "warning: a zero-death cell in 2005 or 2004; omitted age(s) 61\n"
+        )
+        assert [int(row["age"]) for row in read_csv(tmp_path / "improvement.csv")] == [60, *range(62, 70)]
+
+    def test_improve_obs_in_the_first_year_fails_without_warnings(self, data_csv, tmp_path):
+        done = run_cli("improve", "--kind", "obs", "--data", str(data_csv), "--year", "1999", "--out", str(tmp_path))
+        assert done.returncode == 1
+        assert done.stderr == "error: no age has cells in both 1998 and 1999\n"
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_warnings_are_still_warnings_in_process(self, zero_death_csv, tmp_path):
+        argv = ["improve", "--kind", "obs", "--data", str(zero_death_csv), "--year", "2005", "--out", str(tmp_path)]
+        format_warning = warnings.formatwarning
+        with pytest.warns(UserWarning) as record:
+            assert main(argv) == 0
+        assert [str(w.message) for w in record] == [
+            "3 zero-death cell(s) flagged; they are excluded from training",
+            "a zero-death cell in 2005 or 2004; omitted age(s) 61",
+        ]
+        assert warnings.formatwarning is format_warning  # main restores the formatter it replaced

@@ -68,10 +68,6 @@ class TestMortalityCell:
         assert math.isnan(table.cells[0].log_rate)
         assert table.inputs().shape == (0, 2)
 
-    def test_exposure_risk(self):
-        cell = MortalityCell(age=60, year=2000, deaths=100.0, exposure=1000.0)
-        assert cell.exposure_risk == 1050.0
-
 
 class TestMortalityTable:
     def test_duplicate_cells_rejected(self):
@@ -404,7 +400,7 @@ def test_load_subset_fit_and_update_build_no_cells(tmp_path, monkeypatch):
 
     train = subset(load_table(tmp_path / "data.csv"), SUBSET_PRESETS["subset2"])
     result = fit_mle(train, basis=MeanBasis.QUADRATIC_AGE, config=FitConfig(1, 0))
-    gp = fit_gls(train, KernelFamily.SQUARED_EXPONENTIAL, result.hp, basis=MeanBasis.QUADRATIC_AGE)
+    gp = fit_gls(train, KernelFamily.SQUARED_EXPONENTIAL, result.model.hp, basis=MeanBasis.QUADRATIC_AGE)
     updated = update(gp, load_table(tmp_path / "new.csv"))
     assert built == []
     assert updated.n == len(train) + 35

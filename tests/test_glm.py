@@ -101,13 +101,6 @@ class TestGlmPredict:
         xs = np.array([[3.0, 2.0], [10.5, 7.25]])
         np.testing.assert_allclose(glm_predict(fit, xs), basis_matrix(MeanBasis.LINEAR, xs) @ fit.beta, rtol=1e-9)
 
-    def test_unconverged_fit_rejected(self):
-        table = MortalityTable([MortalityCell(age=60, year=2000, deaths=347.0, exposure=52_000.0)])
-        fit = fit_poisson_glm(table, MeanBasis.INTERCEPT)
-        fit.converged = False
-        with pytest.raises(ValueError, match="unconverged"):
-            glm_predict(fit, [[60.0, 2000.0]])
-
     def test_gp_beats_glm_out_of_sample_on_curved_surface(self):
         # surface with a non-polynomial age ripple: the GLM's quadratic trend
         # cannot track it, the GP's residual field can

@@ -444,7 +444,7 @@ def is_grid(gp):
 
 def has_holes(gp):
     """The grid whitener over some of its grid's cells."""
-    return is_grid(gp) and gp.whitener.cells is not None
+    return is_grid(gp) and gp.whitener.u is not None
 
 
 def assert_routes_agree(grid, dense, ages, years, seed=0):
@@ -666,6 +666,49 @@ class TestGridWhitenerWithHoles:
             got, want = grid.whitener.solve(r), dense.whitener.solve(r)
             assert is_grid(grid) and got.shape == r.shape
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+class TestGridRouteWithoutRowOrder:
+    """Distinct cells in any order are a grid, for fits and for queries: the rows only index its cells."""
+
+    @staticmethod
+    def xy(shape):
+        return grid_xy(range(50, 85), range(1999, 2015)) if shape == "full" else masked_xy("subset2")
+
+    @pytest.mark.parametrize("shape", ["full", "subset2"])
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: getattr(b, "value", "none"))
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_permuted_rows_fit_as_rows_in_order(self, family, basis, shape):
+        x, y = self.xy(shape)
+        order = np.random.default_rng(7).permutation(x.shape[0])
+        in_order = fit_gls_xy(x, y, family, PUBLISHED_HP, basis=basis)
+        permuted = fit_gls_xy(x[order], y[order], family, PUBLISHED_HP, basis=basis)
+        assert is_grid(permuted) and permuted.whitener.cells is not None and permuted.jitter == 0.0
+        assert (permuted.whitener.u is None) == (shape == "full")  # a full grid out of order needs no projection
+        assert permuted.log_likelihood == pytest.approx(in_order.log_likelihood, rel=1e-12)
+        np.testing.assert_allclose(predict(permuted, x[order]).mean, predict(in_order, x).mean[order], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", ["full", "subset2"])
+    def test_shuffled_query_grid_gives_the_permuted_posterior(self, shape):
+        x, y = self.xy(shape)
+        gp = fit_gls_xy(x, y, SQEXP, PUBLISHED_HP, basis=MeanBasis.QUADRATIC_AGE)
+        queries = np.array([[a, yr] for yr in (2015, 2016, 2017) for a in range(50, 85)], dtype=float)
+        order = np.random.default_rng(8).permutation(queries.shape[0])
+        post, shuffled = predict(gp, queries, True), predict(gp, queries[order], True)
+        np.testing.assert_array_equal(shuffled.mean, post.mean[order])
+        np.testing.assert_array_equal(shuffled.variance, post.variance[order])
+        # the trend term w^T w is one matrix product, and a BLAS product may round an entry differently by its position
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(shuffled.covariance, post.covariance[np.ix_(order, order)], rtol=4 * eps, atol=0)
+
+    def test_repeated_cell_is_no_grid(self):
+        x, _ = grid_xy(range(60, 64), range(2000, 2004))
+        assert gp_mod._grid_cells(kernels_mod._axes(x))[1] is None  # every cell, in order
+        np.testing.assert_array_equal(gp_mod._grid_cells(kernels_mod._axes(x[::-1]))[1], np.arange(16)[::-1])
+        for repeated in (np.vstack([x, x[5]]), np.vstack([x[:3], x[7], x[4:]])):  # a cell added twice; one in place of another
+            assert gp_mod._grid_cells(kernels_mod._axes(repeated)) is None
+            gp = fit_gls_xy(repeated, np.zeros(repeated.shape[0]), SQEXP, PUBLISHED_HP, basis=None)
+            assert not is_grid(gp)
 
 
 # Points of the two property tests above, drawn at other Hypothesis seeds, where the routes' means at

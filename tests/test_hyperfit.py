@@ -62,36 +62,36 @@ class TestFitMle:
     def test_reproducible_given_seed(self, sim_table):
         r1 = fit_mle(sim_table, config=quick_config())
         r2 = fit_mle(sim_table, config=quick_config())
-        assert r1.hp == r2.hp
-        assert r1.log_likelihood == r2.log_likelihood
-        np.testing.assert_array_equal(r1.beta, r2.beta)
+        assert r1.model.hp == r2.model.hp
+        assert r1.model.log_likelihood == r2.model.log_likelihood
+        np.testing.assert_array_equal(r1.model.beta, r2.model.beta)
         assert [t.log_likelihood for t in r1.restart_trace] == [t.log_likelihood for t in r2.restart_trace]
 
     def test_reported_value_is_best_restart(self, sim_table):
         result = fit_mle(sim_table, config=quick_config(n_restarts=3))
         values = [t.log_likelihood for t in result.restart_trace]
-        assert max(values) == pytest.approx(result.log_likelihood, abs=1e-6)
+        assert max(values) == pytest.approx(result.model.log_likelihood, abs=1e-6)
 
     def test_reevaluation_reproduces_log_likelihood(self, sim_table):
         result = fit_mle(sim_table, basis=MeanBasis.INTERCEPT, config=quick_config())
-        again = log_marginal_likelihood(sim_table, result.family, result.hp, noise=result.noise, basis=result.basis)
-        assert again == pytest.approx(result.log_likelihood, abs=1e-9)
+        again = log_marginal_likelihood(sim_table, result.model.family, result.model.hp, noise=result.model.noise, basis=result.model.basis)
+        assert again == pytest.approx(result.model.log_likelihood, abs=1e-9)
 
     def test_lengthscale_recovery_on_simulated_data(self):
         table, _, _ = simulate_gp_table(range(50, 75), range(1999, 2012), TRUE_HP, seed=7)
         result = fit_mle(table, config=quick_config())
-        assert result.hp.theta_ag == pytest.approx(TRUE_HP.theta_ag, rel=0.5)
-        assert result.hp.theta_yr == pytest.approx(TRUE_HP.theta_yr, rel=0.5)
-        assert result.hp.sigma_sq == pytest.approx(TRUE_HP.sigma_sq, rel=0.5)
+        assert result.model.hp.theta_ag == pytest.approx(TRUE_HP.theta_ag, rel=0.5)
+        assert result.model.hp.theta_yr == pytest.approx(TRUE_HP.theta_yr, rel=0.5)
+        assert result.model.hp.sigma_sq == pytest.approx(TRUE_HP.sigma_sq, rel=0.5)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_profiling_consistency_at_optimum(self, sim_table, family):
         result = fit_mle(sim_table, family=family, config=quick_config())
-        base = result.log_likelihood
+        base = result.model.log_likelihood
         fields = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
         for name in fields:
             for bump in (1.01, 0.99):
-                kwargs = {f: getattr(result.hp, f) for f in fields}
+                kwargs = {f: getattr(result.model.hp, f) for f in fields}
                 kwargs[name] = kwargs[name] * bump
                 perturbed = log_marginal_likelihood(sim_table, family, KernelHyperparams(**kwargs))
                 assert perturbed <= base + 1e-9
@@ -105,10 +105,10 @@ class TestFitMle:
             ]
         )
         r2 = fit_mle(shifted, config=quick_config())
-        assert r2.hp.theta_ag == pytest.approx(r1.hp.theta_ag, rel=1e-3)
-        assert r2.hp.theta_yr == pytest.approx(r1.hp.theta_yr, rel=1e-3)
-        assert r2.hp.eta_sq == pytest.approx(r1.hp.eta_sq, rel=1e-3)
-        assert r2.beta[0] == pytest.approx(r1.beta[0] + 1.0, abs=1e-4)
+        assert r2.model.hp.theta_ag == pytest.approx(r1.model.hp.theta_ag, rel=1e-3)
+        assert r2.model.hp.theta_yr == pytest.approx(r1.model.hp.theta_yr, rel=1e-3)
+        assert r2.model.hp.eta_sq == pytest.approx(r1.model.hp.eta_sq, rel=1e-3)
+        assert r2.model.beta[0] == pytest.approx(r1.model.beta[0] + 1.0, abs=1e-4)
 
     def test_white_noise_hits_bounds(self):
         table = white_noise_table()
@@ -172,7 +172,7 @@ class TestFitMle:
         assert not failed.success
         assert failed.evaluations == 1
         assert other.success and math.isfinite(other.log_likelihood)
-        assert result.log_likelihood == pytest.approx(other.log_likelihood, abs=1e-9)
+        assert result.model.log_likelihood == pytest.approx(other.log_likelihood, abs=1e-9)
         assert result.converged
 
     def test_restart_with_singular_steps_is_not_converged(self, monkeypatch, sim_table):
@@ -203,8 +203,8 @@ class TestFitMle:
             [MortalityCell(c.age + 20, c.year + 500, c.deaths, c.exposure) for c in sim_table]
         )
         here, there = (fit_mle(t, family=family, basis=MeanBasis.QUADRATIC_AGE, config=quick_config()) for t in (sim_table, moved))
-        assert there.hp == here.hp
-        assert there.log_likelihood == here.log_likelihood
+        assert there.model.hp == here.model.hp
+        assert there.model.log_likelihood == here.model.log_likelihood
         assert [rec.evaluations for rec in there.restart_trace] == [rec.evaluations for rec in here.restart_trace]
 
     def test_every_start_failing_to_factorize_raises(self, monkeypatch, sim_table):
@@ -217,9 +217,9 @@ class TestFitMle:
 
     def test_delta_noise_mode_fixes_sigma(self, sim_table):
         result = fit_mle(sim_table, noise=DeltaMethodNoise(2.0), config=quick_config())
-        assert isinstance(result.noise, DeltaMethodNoise)
-        assert result.hp.sigma_sq == 0.0
-        assert math.isfinite(result.log_likelihood)
+        assert isinstance(result.model.noise, DeltaMethodNoise)
+        assert result.model.hp.sigma_sq == 0.0
+        assert math.isfinite(result.model.log_likelihood)
 
     def test_degenerate_table_rejected(self):
         table = table_from_surface(range(60, 62), [2000, 2001], lambda a, y: -4.0)
@@ -267,7 +267,7 @@ class TestNelderMeadOptima:
         table = simulate_grid_table(range(a0, a1 + 1), range(y0, y1 + 1), KernelHyperparams(*spec["hp"]), case["seed"])
         config = FitConfig(n_restarts=case["n_restarts"], seed=case["config_seed"])
         result = fit_mle(table, family=KernelFamily(case["family"]), basis=MeanBasis(case["basis"]), config=config)
-        assert result.log_likelihood >= case["log_likelihood"] - 1e-6
+        assert result.model.log_likelihood >= case["log_likelihood"] - 1e-6
         assert len(result.restart_trace) == case["n_restarts"]
         assert all(rec.success for rec in result.restart_trace)
 
@@ -276,10 +276,10 @@ class TestLikelihoodSurface:
     def test_grid_containing_mle_is_maximized_there(self, sim_table):
         result = fit_mle(sim_table, config=quick_config())
         others = [
-            KernelHyperparams(result.hp.theta_ag * f, result.hp.theta_yr * f, result.hp.eta_sq, result.hp.sigma_sq)
+            KernelHyperparams(result.model.hp.theta_ag * f, result.model.hp.theta_yr * f, result.model.hp.eta_sq, result.model.hp.sigma_sq)
             for f in (0.2, 0.5, 2.0, 5.0)
         ]
-        values = [log_marginal_likelihood(sim_table, SQEXP, hp, basis=MeanBasis.INTERCEPT) for hp in [result.hp, *others]]
+        values = [log_marginal_likelihood(sim_table, SQEXP, hp, basis=MeanBasis.INTERCEPT) for hp in [result.model.hp, *others]]
         assert values[0] == max(values)
 
     def test_ridge_rises_then_falls_across_theta(self, sim_table):
@@ -290,7 +290,7 @@ class TestLikelihoodSurface:
                 log_marginal_likelihood(
                     sim_table,
                     SQEXP,
-                    KernelHyperparams(result.hp.theta_ag * f, result.hp.theta_yr, result.hp.eta_sq, result.hp.sigma_sq),
+                    KernelHyperparams(result.model.hp.theta_ag * f, result.model.hp.theta_yr, result.model.hp.eta_sq, result.model.hp.sigma_sq),
                     basis=MeanBasis.INTERCEPT,
                 )
                 for f in factors
@@ -392,17 +392,26 @@ def grid_table(ages, years, seed=0):
 
 
 def row_order_objectives(table, family, basis, noise="constant"):
-    """The objective on the table's rows, and on the rows reversed.
+    """The objective on the table's rows, and on the rows reversed with the grid rule switched off.
 
-    Reversed rows are no longer in (year, age) order, so the second takes the
-    dense route over the same data.
+    Distinct cells in any order take the grid route, so only the switch makes
+    the second take the dense route over the same data.
     """
     x = table.inputs()
     y = table.responses()
     diag = None if noise == "constant" else noise_diagonal(noise, table)
     reversed_diag = None if diag is None else diag[::-1]
     in_order = hyperfit._ProfiledLikelihood(family, x, y, basis, diag)
-    return in_order, hyperfit._ProfiledLikelihood(family, x[::-1], y[::-1], basis, reversed_diag)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp_mod, "_grid_cells", lambda axes: None)
+        return in_order, hyperfit._ProfiledLikelihood(family, x[::-1], y[::-1], basis, reversed_diag)
+
+
+def permuted_objective(table, family, basis, noise="constant", seed=0):
+    """The objective on the table's rows in a random order."""
+    order = np.random.default_rng(seed).permutation(table.inputs().shape[0])
+    diag = None if noise == "constant" else noise_diagonal(noise, table)[order]
+    return hyperfit._ProfiledLikelihood(family, table.inputs()[order], table.responses()[order], basis, diag)
 
 
 def grid_and_dense_objectives(table, family, basis):
@@ -580,14 +589,18 @@ class TestGradient:
     """The analytic gradient of the profiled likelihood (GPML eq. 5.9) against finite differences."""
 
     @pytest.mark.parametrize("noise", ["constant", DeltaMethodNoise(1.5)], ids=["constant", "delta"])
-    @pytest.mark.parametrize("route", ["in_order", "reversed"])
+    @pytest.mark.parametrize("route", ["in_order", "reversed", "permuted"])
     @pytest.mark.parametrize("basis", [None, *MeanBasis], ids=lambda b: getattr(b, "value", "none"))
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_matches_finite_differences(self, monkeypatch, sim_table, family, basis, route, noise):
         _, x0, bounds = capture_objective(monkeypatch, sim_table, family, basis, noise)
-        obj = row_order_objectives(sim_table, family, basis, noise)[route == "reversed"]
-        # only the rows in (year, age) order with constant noise take the grid route
-        assert (obj.cov.shape is not None and noise == "constant") == (route == "in_order" and noise == "constant")
+        if route == "permuted":
+            obj = permuted_objective(sim_table, family, basis, noise)
+            assert obj.cov.cells is not None and obj.cov.cells.size == obj.noise_diag.size  # a full grid, out of order
+        else:
+            obj = row_order_objectives(sim_table, family, basis, noise)[route == "reversed"]
+        # rows in any order with constant noise take the grid route; the reversed rows have the grid rule switched off
+        assert (obj.cov.shape is not None and noise == "constant") == (route != "reversed" and noise == "constant")
         smallest_noise = float(obj.noise_diag.min())
         rng = np.random.default_rng(12)
         draws = [rng.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(10)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,9 +55,22 @@ class TestObserved:
         np.testing.assert_array_equal(curve.ages, [60, 61])
 
     def test_no_usable_age_errors(self):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an error that follows needs no warning before it
             with pytest.raises(ValueError, match="no age"):
                 mi_back_observed(self.table(), 2005)
+
+    def test_one_warning_per_reason_lists_the_ages(self):
+        zero_death = [MortalityCell(age=63, year=2000, deaths=0.0, exposure=1e5), MortalityCell(age=63, year=2001, deaths=5.0, exposure=1e5)]
+        with pytest.warns(UserWarning, match="zero-death cell"):
+            table = MortalityTable([*self.table(), *zero_death])
+        with pytest.warns(UserWarning) as record:
+            curve = mi_back_observed(table, 2001, ages=[60, 61, 62, 63, 64])
+        np.testing.assert_array_equal(curve.ages, [60, 61])
+        assert [str(w.message) for w in record] == [
+            "a missing cell in 2001 or 2000; omitted age(s) 62, 64",
+            "a zero-death cell in 2001 or 2000; omitted age(s) 63",
+        ]
 
     def test_observed_noisier_than_smoothed(self):
         rng = np.random.default_rng(61)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mortgp import MeanBasis, basis_matrix
-from mortgp.means import basis_change_matrix, basis_dim, dbasis_dyr
+from mortgp import KernelFamily, KernelHyperparams, MeanBasis, basis_matrix, fit_gls_xy, predict_year_derivative
+from mortgp.means import basis_change_matrix, basis_dim
 
 
 def basis_row(basis, x):
@@ -90,7 +90,15 @@ class TestBasisChange:
         beta_scaled = rng.standard_normal(basis_dim(basis))
         np.testing.assert_allclose(h_scaled @ beta_scaled, h_raw @ (m.T @ beta_scaled), rtol=1e-12, atol=1e-12)
 
-    def test_year_derivative_vectors(self):
-        np.testing.assert_array_equal(dbasis_dyr(MeanBasis.INTERCEPT), [0.0])
-        np.testing.assert_array_equal(dbasis_dyr(MeanBasis.LINEAR), [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(dbasis_dyr(MeanBasis.QUADRATIC_AGE), [0.0, 0.0, 1.0, 0.0])
+    @pytest.mark.parametrize(
+        "basis, dh", [(MeanBasis.INTERCEPT, [0.0]), (MeanBasis.LINEAR, [0.0, 0.0, 1.0]), (MeanBasis.QUADRATIC_AGE, [0.0, 0.0, 1.0, 0.0])]
+    )
+    def test_year_derivative_vectors(self, basis, dh):
+        # on data that is exactly a trend, the year-derivative posterior's mean is the trend's, dh . beta
+        rng = np.random.default_rng(18)
+        x = np.array([[a, y] for y in range(2000, 2008) for a in range(60, 70)], dtype=float)
+        beta = rng.standard_normal(basis_dim(basis)) * [1.0, 0.05, 0.05, 0.001][: basis_dim(basis)]
+        hp = KernelHyperparams(theta_ag=5.0, theta_yr=4.0, eta_sq=0.5, sigma_sq=1e-4)
+        gp = fit_gls_xy(x, basis_matrix(basis, x) @ beta, KernelFamily.SQUARED_EXPONENTIAL, hp, basis=basis)
+        xs = np.column_stack([rng.uniform(60, 70, 5), rng.uniform(2000, 2010, 5)])
+        np.testing.assert_allclose(predict_year_derivative(gp, xs).mean, np.dot(dh, beta), rtol=0.0, atol=1e-9)
