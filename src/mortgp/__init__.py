@@ -4,7 +4,6 @@ for two-dimensional (age, year) mortality surfaces."""
 __version__ = "0.1.0"
 
 from .data import (
-    MortalityCell,
     MortalityTable,
     SubsetSpec,
     load_table,
@@ -40,7 +39,6 @@ from .serialize import load_model, save_model
 from .updating import UpdateReport, update, update_report
 
 __all__ = [
-    "MortalityCell",
     "MortalityTable",
     "SubsetSpec",
     "load_table",

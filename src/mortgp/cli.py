@@ -22,7 +22,7 @@ from . import glm as glm_mod
 from . import gp as gp_mod
 from . import improvement as imp_mod
 from . import updating as upd_mod
-from .data import SUBSET_PRESETS, TEST_PRESETS, MortalityTable, SubsetSpec, load_table, subset
+from .data import SUBSET_PRESETS, TEST_PRESETS, MortalityTable, SubsetSpec, _write_csv, load_table, subset
 from .hyperfit import FitConfig, fit_mle
 from .kernels import DeltaMethodNoise, KernelFamily
 from .means import MeanBasis
@@ -34,19 +34,10 @@ KERNEL_NAMES = {
     "matern52": KernelFamily.MATERN52,
 }
 
-MEAN_NAMES = {
-    "intercept": MeanBasis.INTERCEPT,
-    "linear": MeanBasis.LINEAR,
-    "quadratic": MeanBasis.QUADRATIC_AGE,
-    "none": None,
-}
+MEAN_NAMES = {**{basis.value: basis for basis in MeanBasis}, "none": None}
 
-BETA_LABELS = {
-    None: [],
-    MeanBasis.INTERCEPT: ["beta_0"],
-    MeanBasis.LINEAR: ["beta_0", "beta_age", "beta_year"],
-    MeanBasis.QUADRATIC_AGE: ["beta_0", "beta_age", "beta_year", "beta_age_sq"],
-}
+# the coefficients of a basis of dimension p are the first p of these; zip with beta stops there
+BETA_LABELS = ("beta_0", "beta_age", "beta_year", "beta_age_sq")
 
 
 def _parse_subset(text: str) -> SubsetSpec | None:
@@ -113,18 +104,6 @@ def _write_manifest(out: Path, args) -> None:
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write ``header``, then each block, a sequence of equal-length columns, joined into one string.
-
-    A cell is written as its ``str``, so a float is its repr and reads back bit for bit; an empty
-    cell is ``""``.  No cell needs quoting and no row is one cell, so the bytes match ``csv.writer``'s.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*(map(str, c) for c in columns))]))
-
-
 def _write_posterior_csv(path: Path, xs: np.ndarray, post: gp_mod.PosteriorSummary, level: float) -> None:
     lo, hi = post.band(level)
     cells = xs.astype(int)
@@ -152,7 +131,7 @@ def cmd_fit(args, out: Path) -> None:
         ["theta_yr", model.hp.theta_yr],
         ["eta_sq", model.hp.eta_sq],
         ["sigma_sq", model.hp.sigma_sq],
-        *zip(BETA_LABELS[model.basis], model.beta.tolist()),
+        *zip(BETA_LABELS, model.beta.tolist()),
         ["log_likelihood", model.log_likelihood],
         ["converged", str(result.converged).lower()],
         ["bound_hit", str(result.bound_hit).lower()],
@@ -171,7 +150,7 @@ def cmd_forecast(args, out: Path) -> None:
     gp = load_model(args.model)
     ages = np.arange(args.ages[0], args.ages[1] + 1)
     years = np.arange(args.years[0], args.years[1] + 1)
-    grid = np.array([[a, y] for y in years for a in ages], dtype=float)
+    grid = np.column_stack((np.tile(ages, years.size), np.repeat(years, ages.size))).astype(float)  # year-major
     post = gp_mod.predict_observation(gp, grid) if args.observation else gp_mod.predict(gp, grid)
     _write_posterior_csv(out / "forecast.csv", grid, post, args.level)
     print(f"wrote {grid.shape[0]} forecast cells to {out / 'forecast.csv'}")
@@ -241,8 +220,8 @@ def cmd_glm(args, out: Path) -> None:
     table = _load_training_table(args)
     basis = MEAN_NAMES[args.mean]
     fit = glm_mod.fit_poisson_glm(table, basis)
-    rows = [*zip(BETA_LABELS[basis], fit.beta.tolist())]
-    rows += [["deviance", fit.deviance], ["iterations", fit.iterations], ["converged", str(fit.converged).lower()]]
+    rows = [*zip(BETA_LABELS, fit.beta.tolist())]
+    rows += [["deviance", fit.deviance], ["iterations", fit.iterations], ["converged", "true"]]  # fit_poisson_glm raises unless IRLS converges
     _write_estimates(out / "glm.csv", rows)
 
 
@@ -357,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glm", help="Poisson GLM baseline with exposure offset")
     add_common(p, data=True)
-    p.add_argument("--mean", choices=["intercept", "linear", "quadratic"], default="quadratic")
+    p.add_argument("--mean", choices=[basis.value for basis in MeanBasis], default="quadratic")
     p.set_defaults(func=cmd_glm)
 
     p = sub.add_parser("experiment", help="train/test replication over the named subsets")

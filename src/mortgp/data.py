@@ -11,95 +11,85 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 REQUIRED_COLUMNS = ("age", "year", "deaths", "exposure")
 
 
-@dataclass(frozen=True)
-class MortalityCell:
-    """A single (age, year) cell of a mortality table.
+def _first_bad_row(age, year, deaths, exposure) -> tuple[int, str] | None:
+    """``(row, message)`` for the first row, in input order, holding a value no table accepts, else None.
 
-    ``deaths`` is treated as a real-valued count and ``exposure`` as the
-    mid-year population.  ``log_rate`` is derived at construction and is NaN
-    for zero-death cells, which are excluded from model training.
+    Ages and years must be integers below 2**53 in magnitude, ``0 <= deaths < exposure < inf``, and a
+    nonzero rate ``deaths / exposure`` must not underflow to 0; a row's kinds are checked in that order.
     """
-
-    age: int
-    year: int
-    deaths: float
-    exposure: float
-    log_rate: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.exposure) or self.exposure <= 0:
-            raise ValueError(f"cell ({self.age},{self.year}): exposure must be positive, got {self.exposure}")
-        if not math.isfinite(self.deaths) or self.deaths < 0:
-            raise ValueError(f"cell ({self.age},{self.year}): deaths must be non-negative, got {self.deaths}")
-        if self.deaths >= self.exposure:
-            raise ValueError(f"cell ({self.age},{self.year}): deaths ({self.deaths}) must be below exposure ({self.exposure})")
-        rate = self.deaths / self.exposure
-        if self.deaths > 0 and rate == 0:
-            raise ValueError(f"cell ({self.age},{self.year}): deaths / exposure ({self.deaths} / {self.exposure}) underflows to 0")
-        object.__setattr__(self, "log_rate", math.log(rate) if self.deaths > 0 else math.nan)
-
-    @property
-    def trainable(self) -> bool:
-        """Whether the cell carries a defined log rate."""
-        return self.deaths > 0
+    with np.errstate(all="ignore"):
+        kinds = np.array([
+            ~((np.trunc(age) == age) & (np.abs(age) < 2.0**53)),
+            ~((np.trunc(year) == year) & (np.abs(year) < 2.0**53)),
+            ~(np.isfinite(exposure) & (exposure > 0)),
+            ~(np.isfinite(deaths) & (deaths >= 0)),
+            deaths >= exposure,
+            (deaths > 0) & (deaths / exposure == 0),
+        ])
+    bad = kinds.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    kind = int(kinds[:, row].argmax())
+    a, y, d, e = (float(column[row]) for column in (age, year, deaths, exposure))
+    if kind < 2:
+        return row, f"{('age', 'year')[kind]} must be an integer, got '{(a, y)[kind]!r}'"
+    problem = (
+        f"exposure must be positive, got {e}",
+        f"deaths must be non-negative, got {d}",
+        f"deaths ({d}) must be below exposure ({e})",
+        f"deaths / exposure ({d} / {e}) underflows to 0",
+    )[kind - 2]
+    return row, f"cell ({int(a)},{int(y)}): {problem}"
 
 
 class MortalityTable:
     """An immutable mortality table: read-only columns sorted by (year, age), no (age, year) pair twice.
 
-    ``age`` and ``year`` are int64, ``deaths`` and ``exposure`` float64.
-    ``log_rate`` is derived by ``math.log`` per cell, NaN where deaths are
-    zero; ``trainable`` marks the other cells, the only ones in :meth:`inputs`
-    and :meth:`responses`.  Zero-death cells are kept but flagged.  ``cells``
-    is a row view of :class:`MortalityCell`, built on first use.
+    Built from four equal-length columns in any row order.  ``age`` and ``year`` are int64, ``deaths``
+    and ``exposure`` float64.  ``log_rate`` is derived by ``math.log`` per cell, NaN where deaths are
+    zero; ``trainable`` marks the other cells, the only ones in :meth:`inputs` and :meth:`responses`.
+    Zero-death cells are kept but flagged.
     """
 
-    def __init__(self, cells: Iterable[MortalityCell] = (), *, _columns=None):
-        cells = [(c.age, c.year, c.deaths, c.exposure) for c in cells]
-        self._set(*(np.array(cells, dtype=float).reshape(-1, 4).T if _columns is None else _columns))
+    def __init__(self, age, year, deaths, exposure):
+        columns = [np.asarray(column, dtype=float) for column in (age, year, deaths, exposure)]
+        if columns[0].ndim != 1 or len({column.shape for column in columns}) > 1:
+            raise ValueError("age, year, deaths and exposure must be 1-D columns of one length")
+        bad = _first_bad_row(*columns)
+        if bad is not None:
+            raise ValueError(bad[1])
+        order = np.lexsort(columns[:2])
+        age, year, deaths, exposure = (column[order] for column in columns)
+        age, year = age.astype(np.int64), year.astype(np.int64)
+        dup = np.flatnonzero((age[1:] == age[:-1]) & (year[1:] == year[:-1]))
+        if dup.size:
+            raise ValueError(f"duplicate cell for age {age[dup[0]]}, year {year[dup[0]]}")
+        log_rate = np.full(age.size, math.nan)
+        alive = deaths > 0
+        log_rate[alive] = list(map(math.log, (deaths[alive] / exposure[alive]).tolist()))
+        dead = np.flatnonzero(~alive)
+        if dead.size:
+            named = ", ".join(f"(age {age[i]}, {year[i]})" for i in dead[:3]) + (", ..." if dead.size > 3 else "")
+            warnings.warn(f"{dead.size} zero-death cell(s) flagged: {named}; they are excluded from training", stacklevel=2)
+        self._set(age, year, deaths, exposure, log_rate)
 
-    def _set(self, age, year, deaths, exposure, log_rate=None) -> None:
-        # a log_rate column comes with a table's own columns, in its order; else check, sort and derive
-        if log_rate is None:
-            ay = np.abs(np.array([age, year]))
-            valid = np.all((np.trunc(ay) == ay) & (ay < 2.0**53)) and np.all((deaths >= 0) & (deaths < exposure) & (exposure < math.inf))
-            if not valid:
-                raise ValueError("ages and years must be integers below 2**53 in magnitude, and 0 <= deaths < exposure < inf")
-            order = np.lexsort((age, year))
-            age, year, deaths, exposure = age[order].astype(np.int64), year[order].astype(np.int64), deaths[order], exposure[order]
-            dup = np.flatnonzero((age[1:] == age[:-1]) & (year[1:] == year[:-1]))
-            if dup.size:
-                raise ValueError(f"duplicate cell for age {age[dup[0]]}, year {year[dup[0]]}")
-            log_rate = np.full(age.size, math.nan)
-            alive = deaths > 0
-            log_rate[alive] = list(map(math.log, (deaths[alive] / exposure[alive]).tolist()))
-            if not alive.all():
-                warnings.warn(f"{age.size - alive.sum()} zero-death cell(s) flagged; they are excluded from training", stacklevel=3)
+    def _set(self, age, year, deaths, exposure, log_rate) -> None:
         self.age, self.year, self.deaths, self.exposure, self.log_rate, self.trainable = age, year, deaths, exposure, log_rate, deaths > 0
         for column in (self.age, self.year, self.deaths, self.exposure, self.log_rate, self.trainable):
             column.flags.writeable = False
-        self._cells = None
-
-    @property
-    def cells(self) -> tuple[MortalityCell, ...]:
-        if self._cells is None:
-            self._cells = tuple(map(MortalityCell, self.age.tolist(), self.year.tolist(), self.deaths.tolist(), self.exposure.tolist()))
-        return self._cells
 
     def __len__(self) -> int:
         return self.age.size
-
-    def __iter__(self):
-        return iter(self.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MortalityTable):
@@ -116,15 +106,6 @@ class MortalityTable:
 
     def ages(self) -> np.ndarray:
         return np.unique(self.age)
-
-    def cell(self, age: int, year: int) -> MortalityCell:
-        row = np.flatnonzero((self.age == age) & (self.year == year))
-        if not row.size:
-            raise KeyError(f"no cell for age {age}, year {year}")
-        return self.cells[row[0]]
-
-    def has_cell(self, age: int, year: int) -> bool:
-        return bool(np.any((self.age == age) & (self.year == year)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +156,9 @@ def subset(table: MortalityTable, spec: SubsetSpec) -> MortalityTable:
     keep = np.any([(table.year >= y0) & (table.year <= y1) & (table.age >= a0) & (table.age <= a1) for (y0, y1), (a0, a1) in spec.blocks], axis=0)
     if not keep.any():
         raise ValueError("subset selects no cells")
-    return MortalityTable(_columns=[column[keep] for column in (table.age, table.year, table.deaths, table.exposure, table.log_rate)])
+    sub = MortalityTable.__new__(MortalityTable)  # the parent's columns are checked and derived already
+    sub._set(*(column[keep] for column in (table.age, table.year, table.deaths, table.exposure, table.log_rate)))
+    return sub
 
 
 def load_table(path: Union[str, Path]) -> MortalityTable:
@@ -186,7 +169,8 @@ def load_table(path: Union[str, Path]) -> MortalityTable:
     The body is parsed by one quote-aware ``np.loadtxt`` call, whose floats
     are correctly rounded as ``float``'s are, and checked by column.  A body
     it cannot parse (blank ``,,,`` rows, ``1_000``) or that fails a check is
-    read again row by row, which names the first bad row.
+    read again by ``float`` row by row, up to the first row it cannot parse,
+    and the first bad row is named: one the table's check rejects, else that row.
     """
     with open(path, newline="") as stream:
         reader = csv.reader(stream)
@@ -202,24 +186,25 @@ def load_table(path: Union[str, Path]) -> MortalityTable:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
                 columns = np.loadtxt(path, delimiter=",", quotechar='"', skiprows=reader.line_num, usecols=idx, comments=None, ndmin=2, unpack=True)
-            return MortalityTable(_columns=columns)
+            return MortalityTable(*columns)
         except ValueError:  # read again row by row, which names the first bad row
-            cells = []
+            rows, rownums, error = [], [], None
         for rownum, row in enumerate(reader, start=2):
             if not "".join(row).strip():
                 continue
             try:
-                cells.append(MortalityCell(_parse_int(row[idx[0]], "age"), _parse_int(row[idx[1]], "year"), float(row[idx[2]]), float(row[idx[3]])))
+                rows.append([float(row[i]) for i in idx])
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"row {rownum}: {exc}") from None
-    return MortalityTable(cells)
-
-
-def _parse_int(text: str, name: str) -> int:
-    value = float(text)
-    if not value.is_integer() or abs(value) >= 2.0**53:
-        raise ValueError(f"{name} must be an integer, got {text!r}")
-    return int(value)
+                error = f"row {rownum}: {exc}"
+                break
+            rownums.append(rownum)
+    columns = np.array(rows, dtype=float).reshape(-1, 4).T
+    bad = _first_bad_row(*columns)
+    if bad is not None:
+        raise ValueError(f"row {rownums[bad[0]]}: {bad[1]}")
+    if error:
+        raise ValueError(error)
+    return MortalityTable(*columns)
 
 
 def save_table(table: MortalityTable, path: Union[str, Path]) -> None:
@@ -229,9 +214,20 @@ def save_table(table: MortalityTable, path: Union[str, Path]) -> None:
     ``load_table(save_table(t)) == t`` exactly.
     """
     log_rates = ["" if math.isnan(v) else f"{v:.6f}" for v in table.log_rate.tolist()]
-    rows = zip(table.age.tolist(), table.year.tolist(), map(repr, table.deaths.tolist()), map(repr, table.exposure.tolist()), log_rates)
-    with open(path, "w", newline="") as stream:
-        csv.writer(stream, lineterminator="\n").writerows([(*REQUIRED_COLUMNS, "log_rate"), *rows])
+    columns = (table.age.tolist(), table.year.tolist(), table.deaths.tolist(), table.exposure.tolist(), log_rates)
+    _write_csv(path, [*REQUIRED_COLUMNS, "log_rate"], [columns])
+
+
+def _write_csv(path: Union[str, Path], header: list[str], blocks) -> None:
+    """Write ``header``, then each block, a sequence of equal-length columns, joined into one string.
+
+    A cell is written as its ``str``, so a float is its repr and reads back bit for bit; an empty
+    cell is ``""``.  No cell needs quoting and no row is one cell, so the bytes match ``csv.writer``'s.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*(map(str, c) for c in columns))]))
 
 
 # Named train/test splits used throughout the CLI; blocks are inclusive ranges.

@@ -26,7 +26,6 @@ class GlmFit:
     beta: np.ndarray
     deviance: float
     iterations: int
-    converged: bool  # always True: fit_poisson_glm raises when IRLS does not converge
     deviance_trace: list[float] = field(repr=False)
     cov_beta: np.ndarray = field(repr=False)
     beta_scaled: np.ndarray = field(repr=False)
@@ -102,7 +101,6 @@ def fit_poisson_glm(table: MortalityTable, basis: MeanBasis) -> GlmFit:
         beta=m.T @ beta,
         deviance=dev,
         iterations=iterations,
-        converged=True,
         deviance_trace=trace,
         cov_beta=m.T @ cov_scaled @ m,
         beta_scaled=beta,

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mortgp import KernelFamily, MortalityCell, MortalityTable, cov_matrix
+from mortgp import KernelFamily, MortalityTable, cov_matrix
+from mortgp.data import REQUIRED_COLUMNS
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -34,13 +35,10 @@ def traced_memory(fn) -> tuple[int, int]:
 
 
 def table_from_surface(ages, years, log_rate_fn, exposure=1e5):
-    """Build a table whose log rates equal log_rate_fn(age, year) up to float roundoff."""
-    cells = []
-    for year in years:
-        for age in ages:
-            rate = np.exp(log_rate_fn(age, year))
-            cells.append(MortalityCell(age=int(age), year=int(year), deaths=float(rate * exposure), exposure=float(exposure)))
-    return MortalityTable(cells)
+    """Build a table whose log rates equal log_rate_fn(age, year) up to float roundoff; log_rate_fn is called year-major."""
+    age, year = (column.ravel() for column in np.meshgrid(ages, years))
+    deaths = [np.exp(log_rate_fn(a, y)) * exposure for a, y in zip(age.tolist(), year.tolist())]
+    return MortalityTable(age, year, deaths, np.full(age.size, exposure))
 
 
 def simulate_gp_table(ages, years, hp, seed, mean=-4.0, family=KernelFamily.SQUARED_EXPONENTIAL, exposure=1e7):
@@ -52,11 +50,7 @@ def simulate_gp_table(ages, years, hp, seed, mean=-4.0, family=KernelFamily.SQUA
     rng = np.random.default_rng(seed)
     f = mean + np.linalg.cholesky(k) @ rng.standard_normal(x.shape[0])
     y_obs = f + np.sqrt(hp.sigma_sq) * rng.standard_normal(x.shape[0])
-    cells = [
-        MortalityCell(age=int(a), year=int(yr), deaths=float(np.exp(v) * exposure), exposure=float(exposure))
-        for (a, yr), v in zip(x, y_obs)
-    ]
-    return MortalityTable(cells), x, y_obs
+    return MortalityTable(x[:, 0], x[:, 1], np.exp(y_obs) * exposure, np.full(y_obs.size, exposure)), x, y_obs
 
 
 def simulate_grid_table(ages, years, hp, seed, mean=-4.0):
@@ -93,7 +87,18 @@ def small_table():
 
 def simulate_masked_table(ages, years, hp, seed, drop):
     """``simulate_grid_table`` without the cells where ``drop(age, year)`` holds: a grid with holes."""
-    return MortalityTable([c for c in simulate_grid_table(ages, years, hp, seed) if not drop(c.age, c.year)])
+    table = simulate_grid_table(ages, years, hp, seed)
+    return rows_of(table, [not drop(a, y) for a, y in zip(table.age.tolist(), table.year.tolist())])
+
+
+def rows_of(table, keep=slice(None), **columns):
+    """A table of ``table``'s rows where ``keep`` holds, with any of its four columns replaced by ``columns``."""
+    return MortalityTable(*(np.asarray(columns.get(name, getattr(table, name)))[keep] for name in REQUIRED_COLUMNS))
+
+
+def joined(*tables):
+    """One table of the rows of all ``tables``."""
+    return MortalityTable(*(np.concatenate([getattr(table, name) for table in tables]) for name in REQUIRED_COLUMNS))
 
 
 # hole masks over (ages, years): the subset2 notch, scattered cells of an uneven grid, part of a last year

@@ -18,7 +18,6 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
-    MortalityCell,
     MortalityTable,
     SubsetSpec,
     cov_matrix,
@@ -202,19 +201,14 @@ def test_criterion_09_glm_score_and_recovery():
     """Score equations at 1e-6 relative; simulated-Poisson recovery within 3 SE."""
     rng = np.random.default_rng(1009)
     true_beta = (-4.3, 0.05, -0.012)
-    cells = []
-    for year in range(0, 10):
-        for age in range(0, 20):
-            rate = math.exp(true_beta[0] + true_beta[1] * age + true_beta[2] * year)
-            cells.append(
-                MortalityCell(age=age, year=year, deaths=float(rng.poisson(rate * 1e5)), exposure=1e5)
-            )
-    table = MortalityTable(cells)
+    age, year = (column.ravel() for column in np.meshgrid(range(0, 20), range(0, 10)))
+    deaths = [rng.poisson(math.exp(true_beta[0] + true_beta[1] * a + true_beta[2] * y) * 1e5) for a, y in zip(age.tolist(), year.tolist())]
+    table = MortalityTable(age, year, deaths, np.full(age.size, 1e5))
     fit = fit_poisson_glm(table, MeanBasis.LINEAR)
 
-    x = np.array([[c.age, c.year] for c in table], dtype=float)
-    d = np.array([c.deaths for c in table])
-    mu = np.array([c.exposure for c in table]) * np.exp(glm_predict(fit, x))
+    x = np.column_stack((table.age, table.year)).astype(float)
+    d = table.deaths
+    mu = table.exposure * np.exp(glm_predict(fit, x))
     h = basis_matrix(MeanBasis.LINEAR, x)
     assert np.linalg.norm(h.T @ (d - mu)) / np.linalg.norm(h.T @ d) < 1e-6
 

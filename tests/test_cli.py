@@ -625,7 +625,8 @@ def zero_death_csv(tmp_path_factory):
     """A 10 x 10 GP draw from 2000 on, with zero deaths at (60, 2003), (61, 2005) and (69, 2009)."""
     table = simulate_grid_table(range(60, 70), range(2000, 2010), KernelHyperparams(8.0, 6.0, 0.3, 1e-3), seed=3)
     zero = {(60, 2003), (61, 2005), (69, 2009)}
-    rows = [(c.age, c.year, 0.0 if (c.age, c.year) in zero else c.deaths, c.exposure) for c in table]
+    cells = zip(table.age.tolist(), table.year.tolist(), table.deaths.tolist(), table.exposure.tolist())
+    rows = [(a, y, 0.0 if (a, y) in zero else d, e) for a, y, d, e in cells]
     path = tmp_path_factory.mktemp("zero_death") / "data.csv"
     path.write_text("age,year,deaths,exposure\n" + "".join(f"{a},{y},{d!r},{e!r}\n" for a, y, d, e in rows))
     return path
@@ -644,13 +645,13 @@ class TestWarnings:
     def test_fit_on_zero_death_cells(self, zero_death_csv, tmp_path):
         done = run_cli("fit", "--data", str(zero_death_csv), "--restarts", "2", "--out", str(tmp_path))
         assert done.returncode == 0
-        assert done.stderr == "warning: 3 zero-death cell(s) flagged; they are excluded from training\n"
+        assert done.stderr == "warning: 3 zero-death cell(s) flagged: (age 60, 2003), (age 61, 2005), (age 69, 2009); they are excluded from training\n"
 
     def test_improve_obs_omits_ages_in_one_warning(self, zero_death_csv, tmp_path):
         done = run_cli("improve", "--kind", "obs", "--data", str(zero_death_csv), "--year", "2005", "--out", str(tmp_path))
         assert done.returncode == 0
         assert done.stderr == (
-            "warning: 3 zero-death cell(s) flagged; they are excluded from training\n"
+            "warning: 3 zero-death cell(s) flagged: (age 60, 2003), (age 61, 2005), (age 69, 2009); they are excluded from training\n"
             "warning: a zero-death cell in 2005 or 2004; omitted age(s) 61\n"
         )
         assert [int(row["age"]) for row in read_csv(tmp_path / "improvement.csv")] == [60, *range(62, 70)]
@@ -667,7 +668,7 @@ class TestWarnings:
         with pytest.warns(UserWarning) as record:
             assert main(argv) == 0
         assert [str(w.message) for w in record] == [
-            "3 zero-death cell(s) flagged; they are excluded from training",
+            "3 zero-death cell(s) flagged: (age 60, 2003), (age 61, 2005), (age 69, 2009); they are excluded from training",
             "a zero-death cell in 2005 or 2004; omitted age(s) 61",
         ]
         assert warnings.formatwarning is format_warning  # main restores the formatter it replaced

@@ -9,20 +9,13 @@ from hypothesis import strategies as st
 
 from mortgp import (
     DeltaMethodNoise,
-    FitConfig,
-    KernelFamily,
     KernelHyperparams,
-    MeanBasis,
-    MortalityCell,
     MortalityTable,
     SubsetSpec,
-    fit_gls,
-    fit_mle,
     load_table,
     noise_diagonal,
     save_table,
     subset,
-    update,
 )
 from mortgp.data import REQUIRED_COLUMNS, SUBSET_PRESETS
 
@@ -30,72 +23,66 @@ from conftest import simulate_grid_table
 
 
 def make_grid(years, ages, exposure=1e5, rate=0.01):
-    return MortalityTable(
-        [
-            MortalityCell(age=a, year=y, deaths=rate * exposure, exposure=exposure)
-            for y in years
-            for a in ages
-        ]
-    )
+    age, year = (column.ravel() for column in np.meshgrid(ages, years))
+    return MortalityTable(age, year, np.full(age.size, rate * exposure), np.full(age.size, exposure))
 
 
-class TestMortalityCell:
+def one_cell(age, year, deaths, exposure):
+    return MortalityTable([age], [year], [deaths], [exposure])
+
+
+class TestConstructor:
     def test_log_rate_matches_observed_rate(self):
         # published-style cell: rate 0.00722 at age 50 in 2011
-        cell = MortalityCell(age=50, year=2011, deaths=722.0, exposure=100_000.0)
-        assert cell.log_rate == pytest.approx(-4.931, abs=1e-3)
+        table = one_cell(50, 2011, 722.0, 100_000.0)
+        assert table.log_rate[0] == pytest.approx(-4.931, abs=1e-3)
 
     def test_log_rate_definition(self):
-        cell = MortalityCell(age=60, year=2000, deaths=123.0, exposure=45_678.0)
-        assert abs(cell.log_rate - math.log(123.0 / 45_678.0)) < 1e-12
+        table = one_cell(60, 2000, 123.0, 45_678.0)
+        assert table.log_rate[0] == math.log(123.0 / 45_678.0)
 
     def test_zero_exposure_rejected(self):
-        with pytest.raises(ValueError, match="exposure"):
-            MortalityCell(age=60, year=2000, deaths=1.0, exposure=0.0)
+        with pytest.raises(ValueError, match=r"^cell \(60,2000\): exposure must be positive, got 0.0$"):
+            one_cell(60, 2000, 1.0, 0.0)
 
     def test_negative_deaths_rejected(self):
-        with pytest.raises(ValueError, match="deaths"):
-            MortalityCell(age=60, year=2000, deaths=-1.0, exposure=100.0)
+        with pytest.raises(ValueError, match=r"^cell \(60,2000\): deaths must be non-negative, got -1.0$"):
+            one_cell(60, 2000, -1.0, 100.0)
 
     def test_deaths_must_stay_below_exposure(self):
-        with pytest.raises(ValueError, match="below exposure"):
-            MortalityCell(age=60, year=2000, deaths=100.0, exposure=100.0)
+        with pytest.raises(ValueError, match=r"^cell \(60,2000\): deaths \(100.0\) must be below exposure \(100.0\)$"):
+            one_cell(60, 2000, 100.0, 100.0)
 
     def test_zero_deaths_flagged_not_trainable(self):
-        with pytest.warns(UserWarning, match="zero-death"):
-            table = MortalityTable([MortalityCell(age=60, year=2000, deaths=0.0, exposure=100.0)])
-        assert not table.cells[0].trainable
-        assert math.isnan(table.cells[0].log_rate)
+        with pytest.warns(UserWarning, match=r"^1 zero-death cell\(s\) flagged: \(age 60, 2000\); they are excluded from training$"):
+            table = one_cell(60, 2000, 0.0, 100.0)
+        assert not table.trainable[0]
+        assert math.isnan(table.log_rate[0])
         assert table.inputs().shape == (0, 2)
 
+    def test_first_bad_row_in_input_order_is_named(self):
+        with pytest.raises(ValueError, match=r"^cell \(61,2000\): deaths must be non-negative, got -2.0$"):
+            MortalityTable([62, 61, 60], [2001, 2000, 2000], [0.0, -2.0, 100.0], [100.0, 100.0, 0.0])
 
-class TestMortalityTable:
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="1-D columns of one length"):
+            MortalityTable([60, 61], [2000, 2000], [1.0, 1.0], [100.0])
+
     def test_duplicate_cells_rejected(self):
-        cells = [
-            MortalityCell(age=60, year=2000, deaths=1.0, exposure=100.0),
-            MortalityCell(age=60, year=2000, deaths=2.0, exposure=100.0),
-        ]
-        with pytest.raises(ValueError, match="duplicate"):
-            MortalityTable(cells)
+        with pytest.raises(ValueError, match="duplicate cell for age 60, year 2000"):
+            MortalityTable([60, 60], [2000, 2000], [1.0, 2.0], [100.0, 100.0])
 
-    def test_iteration_sorted_by_year_then_age(self):
-        cells = [
-            MortalityCell(age=61, year=2001, deaths=1.0, exposure=100.0),
-            MortalityCell(age=60, year=2001, deaths=1.0, exposure=100.0),
-            MortalityCell(age=61, year=2000, deaths=1.0, exposure=100.0),
-        ]
-        table = MortalityTable(cells)
-        assert [(c.year, c.age) for c in table] == [(2000, 61), (2001, 60), (2001, 61)]
+    def test_rows_sorted_by_year_then_age(self):
+        table = MortalityTable([61, 60, 61], [2001, 2001, 2000], [1.0, 2.0, 3.0], [100.0] * 3)
+        assert list(zip(table.year.tolist(), table.age.tolist())) == [(2000, 61), (2001, 60), (2001, 61)]
+        assert table.deaths.tolist() == [3.0, 2.0, 1.0]
 
     def test_order_independent_of_input_permutation(self):
         rng = np.random.default_rng(3)
-        cells = [
-            MortalityCell(age=a, year=y, deaths=float(rng.uniform(1, 50)), exposure=100.0)
-            for y in range(2000, 2003)
-            for a in range(60, 63)
-        ]
-        t1 = MortalityTable(cells)
-        t2 = MortalityTable(list(reversed(cells)))
+        age, year = (column.ravel() for column in np.meshgrid(range(60, 63), range(2000, 2003)))
+        deaths = rng.uniform(1, 50, size=age.size)
+        t1 = MortalityTable(age, year, deaths, np.full(age.size, 100.0))
+        t2 = MortalityTable(age[::-1], year[::-1], deaths[::-1], np.full(age.size, 100.0))
         assert t1 == t2
 
 
@@ -111,18 +98,18 @@ class TestLoadSave:
     def test_load_basic(self, tmp_path):
         table = load_csv(tmp_path, self.CSV)
         assert len(table) == 2
-        assert table.cells[0].age == 50
-        assert table.cells[0].log_rate == pytest.approx(math.log(0.00722))
+        assert table.age[0] == 50
+        assert table.log_rate[0] == pytest.approx(math.log(0.00722))
 
     def test_header_case_insensitive_and_reordered(self, tmp_path):
         text = "Exposure,YEAR,Age,Deaths\n100000,2011,50,722\n"
         table = load_csv(tmp_path, text)
-        assert table.cells[0].deaths == 722.0
+        assert table.deaths[0] == 722.0
 
     def test_log_rate_column_ignored_on_input(self, tmp_path):
         text = "age,year,deaths,exposure,log_rate\n50,2011,722,100000,3.14\n"
         table = load_csv(tmp_path, text)
-        assert table.cells[0].log_rate == pytest.approx(math.log(0.00722))
+        assert table.log_rate[0] == pytest.approx(math.log(0.00722))
 
     def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="missing required column"):
@@ -145,12 +132,9 @@ class TestLoadSave:
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(11)
-        cells = [
-            MortalityCell(age=a, year=y, deaths=float(rng.uniform(1, 900)), exposure=float(rng.uniform(1e4, 1e6)))
-            for y in range(1999, 2003)
-            for a in range(50, 55)
-        ]
-        table = MortalityTable(cells)
+        age, year = (column.ravel() for column in np.meshgrid(range(50, 55), range(1999, 2003)))
+        draws = np.array([(rng.uniform(1, 900), rng.uniform(1e4, 1e6)) for _ in range(age.size)])
+        table = MortalityTable(age, year, draws[:, 0], draws[:, 1])
         save_table(table, tmp_path / "table.csv")
         reloaded = load_table(tmp_path / "table.csv")
         assert reloaded == table
@@ -210,13 +194,7 @@ class TestSubset:
 class TestColumns:
     def test_columns_sorted_typed_and_read_only(self):
         with pytest.warns(UserWarning, match="1 zero-death"):
-            table = MortalityTable(
-                [
-                    MortalityCell(age=61, year=2001, deaths=3.0, exposure=100.0),
-                    MortalityCell(age=60, year=2001, deaths=0.0, exposure=100.0),
-                    MortalityCell(age=61, year=2000, deaths=2.0, exposure=100.0),
-                ]
-            )
+            table = MortalityTable([61, 60, 61], [2001, 2001, 2000], [3.0, 0.0, 2.0], [100.0] * 3)
         assert table.age.tolist() == [61, 60, 61] and table.year.tolist() == [2000, 2001, 2001]
         assert table.age.dtype == np.int64 and table.deaths.dtype == np.float64
         assert table.trainable.tolist() == [True, False, True]
@@ -224,19 +202,31 @@ class TestColumns:
         with pytest.raises(ValueError, match="read-only"):
             table.deaths[0] = 1.0
 
-    def test_cells_are_a_row_view_of_the_columns(self, tmp_path):
-        with pytest.warns(UserWarning, match="1 zero-death"):
+    def test_loaded_rows_sorted_with_zero_deaths_flagged(self, tmp_path):
+        with pytest.warns(UserWarning, match=r"^1 zero-death cell\(s\) flagged: \(age 51, 2011\); they are excluded from training$"):
             table = load_csv(tmp_path, "age,year,deaths,exposure\n51,2011,0,100000\n50,2011,722,100000\n")
-        assert [(c.age, c.year, c.deaths, c.exposure) for c in table] == [(50, 2011, 722.0, 100000.0), (51, 2011, 0.0, 100000.0)]
-        assert table.cells[0].log_rate == table.log_rate[0] and not table.cells[1].trainable
-        assert table.cell(51, 2011) == table.cells[1] and table.has_cell(50, 2011) and not table.has_cell(50, 2012)
-        with pytest.raises(KeyError, match="no cell for age 52, year 2011"):
-            table.cell(52, 2011)
+        rows = list(zip(table.age.tolist(), table.year.tolist(), table.deaths.tolist(), table.exposure.tolist()))
+        assert rows == [(50, 2011, 722.0, 100000.0), (51, 2011, 0.0, 100000.0)]
+        assert table.log_rate[0] == math.log(722.0 / 100000.0) and table.trainable.tolist() == [True, False]
         assert table.ages().tolist() == [50, 51]
 
+    def test_zero_death_warning_names_the_first_three_cells(self):
+        with pytest.warns(UserWarning) as caught:
+            MortalityTable([60, 61, 62, 63, 64], [2001, 2000, 2000, 2000, 2000], [0.0, 0.0, 1.0, 0.0, 0.0], [100.0] * 5)
+        message = "4 zero-death cell(s) flagged: (age 61, 2000), (age 63, 2000), (age 64, 2000), ...; they are excluded from training"
+        assert [str(w.message) for w in caught] == [message]
+
     def test_fractional_age_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
-            MortalityTable([MortalityCell(age=60.5, year=2000, deaths=1.0, exposure=100.0)])
+        with pytest.raises(ValueError, match=r"^age must be an integer, got '60.5'$"):
+            one_cell(60.5, 2000, 1.0, 100.0)
+
+    def test_subset_does_not_warn_again(self):
+        with pytest.warns(UserWarning, match="1 zero-death"):
+            table = MortalityTable([60, 61], [2000, 2000], [0.0, 1.0], [100.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sub = subset(table, SubsetSpec.rectangle((2000, 2000), (60, 61)))
+        assert sub == table and sub.trainable.tolist() == [False, True]
 
     def test_subset_is_a_mask_over_the_columns(self):
         table = make_grid(range(1999, 2015), range(50, 85))
@@ -388,20 +378,16 @@ def test_load_table_over_csv_edge_cases(drawn, tmp_path_factory):
     np.testing.assert_array_equal(bits(table.log_rate), bits([math.log(d / e) if d > 0 else math.nan for d, e in zip(deaths, exposure)]))
 
 
-def test_load_subset_fit_and_update_build_no_cells(tmp_path, monkeypatch):
-    """Loading, subsetting, fitting and updating read the columns: not one ``MortalityCell`` is built."""
-    hp = KernelHyperparams(theta_ag=12.0, theta_yr=9.0, eta_sq=0.5, sigma_sq=1e-4)
-    source = simulate_grid_table(np.arange(50, 85), np.arange(1999, 2016), hp, seed=4)
-    save_table(subset(source, SubsetSpec.rectangle((1999, 2014), (50, 84))), tmp_path / "data.csv")
-    save_table(subset(source, SubsetSpec.rectangle((2015, 2015), (50, 84))), tmp_path / "new.csv")
-    built = []
-    post_init = MortalityCell.__post_init__
-    monkeypatch.setattr(MortalityCell, "__post_init__", lambda cell: (built.append(cell), post_init(cell)))
-
-    train = subset(load_table(tmp_path / "data.csv"), SUBSET_PRESETS["subset2"])
-    result = fit_mle(train, basis=MeanBasis.QUADRATIC_AGE, config=FitConfig(1, 0))
-    gp = fit_gls(train, KernelFamily.SQUARED_EXPONENTIAL, result.model.hp, basis=MeanBasis.QUADRATIC_AGE)
-    updated = update(gp, load_table(tmp_path / "new.csv"))
-    assert built == []
-    assert updated.n == len(train) + 35
-    assert len(train.cells) == len(built) == 504  # the row view is built on demand, and counted
+@pytest.mark.parametrize(
+    "fields",
+    [BAD_ROWS[kind][0] for kind in ("fractional_age", "zero_exposure", "negative_deaths", "deaths_at_exposure", "rate_underflow")]
+    + [["50", "2011.5", "722", "100000"]],
+    ids=["fractional_age", "zero_exposure", "negative_deaths", "deaths_at_exposure", "rate_underflow", "fractional_year"],
+)
+def test_constructor_and_loader_share_each_message(tmp_path, fields):
+    """One check serves both: the constructor's message for a bad value is ``load_table``'s without ``row N: ``."""
+    with pytest.raises(ValueError) as built:
+        MortalityTable(*([float(field)] for field in fields))
+    with pytest.raises(ValueError) as loaded:
+        load_csv(tmp_path, "age,year,deaths,exposure\n60,2000,1,100\n" + ",".join(fields) + "\n")
+    assert str(loaded.value) == f"row 3: {built.value}"

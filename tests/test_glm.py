@@ -8,7 +8,6 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
-    MortalityCell,
     MortalityTable,
     fit_gls,
     fit_poisson_glm,
@@ -23,20 +22,16 @@ from conftest import table_from_surface
 def poisson_table(beta, ages, years, exposure, seed):
     """Deaths drawn from Poisson with log-rate h(x) . beta."""
     rng = np.random.default_rng(seed)
-    cells = []
-    for y in years:
-        for a in ages:
-            rate = math.exp(beta[0] + beta[1] * a + beta[2] * y)
-            deaths = rng.poisson(rate * exposure)
-            cells.append(MortalityCell(age=a, year=y, deaths=float(deaths), exposure=float(exposure)))
-    return MortalityTable(cells)
+    age, year = (column.ravel() for column in np.meshgrid(ages, years))
+    deaths = [rng.poisson(math.exp(beta[0] + beta[1] * a + beta[2] * y) * exposure) for a, y in zip(age.tolist(), year.tolist())]
+    return MortalityTable(age, year, deaths, np.full(age.size, exposure))
 
 
 class TestFitPoissonGlm:
     def test_saturated_single_cell_intercept(self):
-        table = MortalityTable([MortalityCell(age=60, year=2000, deaths=347.0, exposure=52_000.0)])
+        table = MortalityTable([60], [2000], [347.0], [52_000.0])
         fit = fit_poisson_glm(table, MeanBasis.INTERCEPT)
-        assert fit.converged
+        assert fit.iterations < glm_mod.MAX_ITER  # a fit is returned only once IRLS converges; else it raises, as below
         assert fit.beta[0] == pytest.approx(math.log(347.0 / 52_000.0), abs=1e-10)
 
     def test_recovers_simulated_coefficients_within_3_se(self):
@@ -53,10 +48,9 @@ class TestFitPoissonGlm:
             range(50, 75), range(1999, 2012), lambda a, y: -9.0 + 0.09 * a + 1e-4 * a * a - 0.01 * (y - 2000) + 0.02 * rng.standard_normal()
         )
         fit = fit_poisson_glm(table, MeanBasis.QUADRATIC_AGE)
-        x = np.array([[c.age, c.year] for c in table], dtype=float)
-        d = np.array([c.deaths for c in table])
-        exposure = np.array([c.exposure for c in table])
-        mu = exposure * np.exp(glm_predict(fit, x))
+        x = np.column_stack((table.age, table.year)).astype(float)
+        d = table.deaths
+        mu = table.exposure * np.exp(glm_predict(fit, x))
         h = basis_matrix(MeanBasis.QUADRATIC_AGE, x)
         assert np.linalg.norm(h.T @ (d - mu)) / np.linalg.norm(h.T @ d) < 1e-6
 
@@ -67,13 +61,8 @@ class TestFitPoissonGlm:
         assert fit.deviance == fit.deviance_trace[-1]
 
     def test_zero_death_cells_participate(self):
-        cells = [
-            MortalityCell(age=60, year=2000, deaths=0.0, exposure=1e4),
-            MortalityCell(age=61, year=2000, deaths=5.0, exposure=1e4),
-            MortalityCell(age=62, year=2000, deaths=9.0, exposure=1e4),
-        ]
         with pytest.warns(UserWarning):
-            table = MortalityTable(cells)
+            table = MortalityTable([60, 61, 62], [2000] * 3, [0.0, 5.0, 9.0], [1e4] * 3)
         fit = fit_poisson_glm(table, MeanBasis.INTERCEPT)
         assert fit.beta[0] == pytest.approx(math.log(14.0 / 3e4), abs=1e-8)
 
@@ -91,7 +80,7 @@ class TestFitPoissonGlm:
 
 class TestGlmPredict:
     def test_saturated_fit_predicts_observed_log_rate(self):
-        table = MortalityTable([MortalityCell(age=60, year=2000, deaths=347.0, exposure=52_000.0)])
+        table = MortalityTable([60], [2000], [347.0], [52_000.0])
         fit = fit_poisson_glm(table, MeanBasis.INTERCEPT)
         assert glm_predict(fit, [[60.0, 2000.0]])[0] == pytest.approx(math.log(347.0 / 52_000.0), abs=1e-10)
 

@@ -25,8 +25,6 @@ from mortgp import (
     MeanBasis,
     cov_matrix,
     cross_cov,
-    MortalityCell,
-    MortalityTable,
     fit_gls,
     fit_gls_xy,
     fit_mle,
@@ -44,7 +42,7 @@ from mortgp.gp import _year_difference
 from mortgp.means import basis_dim, basis_matrix
 from mortgp.serialize import model_to_dict
 
-from conftest import HOLE_MASKS, simulate_gp_table, simulate_masked_table, table_from_surface, traced_memory
+from conftest import HOLE_MASKS, rows_of, simulate_gp_table, simulate_masked_table, table_from_surface, traced_memory
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 
@@ -207,11 +205,9 @@ class TestPredict:
     def test_outputs_invariant_under_row_permutation(self):
         rng = np.random.default_rng(27)
         cells_sorted = table_from_surface(range(60, 66), range(2000, 2006), lambda a, y: -4 + 0.05 * a - 0.01 * y)
-        shuffled = list(cells_sorted.cells)
+        shuffled = list(range(len(cells_sorted)))
         rng.shuffle(shuffled)
-        from mortgp import MortalityTable
-
-        t2 = MortalityTable(shuffled)
+        t2 = rows_of(cells_sorted, shuffled)
         hp = KernelHyperparams(theta_ag=3.0, theta_yr=3.0, eta_sq=0.5, sigma_sq=1e-4)
         x_star = np.array([[62.5, 2003.2], [70.0, 2010.0]])
         p1 = predict(fit_gls(cells_sorted, SQEXP, hp), x_star, want_covariance=True)
@@ -782,10 +778,10 @@ class TestWhitenerRoute:
         if case == "subset2":
             table = subset(table_from_surface(range(50, 85), range(1999, 2015), lambda a, y: -9.0 + 0.08 * a), SUBSET_PRESETS["subset2"])
         else:
-            cells = list(table)
-            cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
+            deaths = table.deaths.copy()
+            deaths[17] = 0.0
             with pytest.warns(UserWarning, match="zero-death"):
-                table = MortalityTable(cells)
+                table = rows_of(table, deaths=deaths)
         gp = fit_gls(table, SQEXP, self.HP)
         assert has_holes(gp) and gp.jitter == 0.0
 

@@ -19,8 +19,6 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
-    MortalityCell,
-    MortalityTable,
     fit_gls,
     fit_mle,
     log_marginal_likelihood,
@@ -30,7 +28,7 @@ from mortgp import (
 from mortgp.data import SUBSET_PRESETS
 from mortgp.means import basis_dim, design
 
-from conftest import HOLE_MASKS, simulate_gp_table, simulate_grid_table, simulate_masked_table, table_from_surface, traced_memory
+from conftest import HOLE_MASKS, joined, rows_of, simulate_gp_table, simulate_grid_table, simulate_masked_table, table_from_surface, traced_memory
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 
@@ -98,12 +96,7 @@ class TestFitMle:
 
     def test_response_shift_moves_only_intercept(self, sim_table):
         r1 = fit_mle(sim_table, config=quick_config())
-        shifted = MortalityTable(
-            [
-                MortalityCell(age=c.age, year=c.year, deaths=c.deaths * math.e, exposure=c.exposure)
-                for c in sim_table
-            ]
-        )
+        shifted = rows_of(sim_table, deaths=sim_table.deaths * math.e)
         r2 = fit_mle(shifted, config=quick_config())
         assert r2.model.hp.theta_ag == pytest.approx(r1.model.hp.theta_ag, rel=1e-3)
         assert r2.model.hp.theta_yr == pytest.approx(r1.model.hp.theta_yr, rel=1e-3)
@@ -199,9 +192,7 @@ class TestFitMle:
     def test_fit_ignores_where_the_inputs_sit(self, sim_table, family):
         # the kernel sees only separations and the trend basis is rescaled, so no input
         # standardization is needed: moved inputs give the same fit, bit for bit
-        moved = MortalityTable(
-            [MortalityCell(c.age + 20, c.year + 500, c.deaths, c.exposure) for c in sim_table]
-        )
+        moved = rows_of(sim_table, age=sim_table.age + 20, year=sim_table.year + 500)
         here, there = (fit_mle(t, family=family, basis=MeanBasis.QUADRATIC_AGE, config=quick_config()) for t in (sim_table, moved))
         assert there.model.hp == here.model.hp
         assert there.model.log_likelihood == here.model.log_likelihood
@@ -438,16 +429,15 @@ def route_case(sim_table, case):
     if case == "subset2":
         return subset(grid_table(range(50, 85), range(1999, 2015)), SUBSET_PRESETS["subset2"]), "constant"
     if case == "zero_death_cell":
-        cells = list(sim_table)
-        cells[17] = MortalityCell(age=cells[17].age, year=cells[17].year, deaths=0.0, exposure=cells[17].exposure)
+        deaths = sim_table.deaths.copy()
+        deaths[17] = 0.0
         with pytest.warns(UserWarning, match="zero-death"):
-            return MortalityTable(cells), "constant"
+            return rows_of(sim_table, deaths=deaths), "constant"
     if case == "delta_noise":
         return sim_table, DeltaMethodNoise(1.5)
     if case == "partial_year":
         # a full grid plus some ages of the next year, as a partial-year update leaves it
-        cells = [*grid_table(range(50, 62), range(2000, 2008)), *grid_table(range(50, 56), [2008], seed=1)]
-        return MortalityTable(cells), "constant"
+        return joined(grid_table(range(50, 62), range(2000, 2008)), grid_table(range(50, 56), [2008], seed=1)), "constant"
     return sim_table, "constant"
 
 
@@ -706,9 +696,9 @@ class TestHolesRoute:
         seed=st.integers(0, 1000),
     )
     def test_agrees_with_dense_route_over_random_masks(self, ages, years, family, basis, fractions, holes, seed):
-        cells = list(grid_table(sorted(ages), sorted(years), seed))
+        cells = grid_table(sorted(ages), sorted(years), seed)
         dropped = {int(h * len(cells)) for h in holes[: len(cells) // 5]}  # m <= N / 5, so m <= n / 4
-        table = MortalityTable([c for i, c in enumerate(cells) if i not in dropped])
+        table = rows_of(cells, [i not in dropped for i in range(len(cells))])
         x = table.inputs()
         assume(np.unique(x[:, 0]).size >= 2 + (basis is MeanBasis.QUADRATIC_AGE) and np.unique(x[:, 1]).size >= 2)
         assume(x.shape[0] >= basis_dim(basis) + 2)

@@ -8,7 +8,6 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
-    MortalityCell,
     MortalityTable,
     fit_gls,
     fit_gls_xy,
@@ -21,7 +20,7 @@ from mortgp import (
 from mortgp import gp as gp_mod
 from mortgp.gp import _quantile_z
 
-from conftest import simulate_grid_table, table_from_surface
+from conftest import rows_of, simulate_grid_table, table_from_surface
 
 SQEXP = KernelFamily.SQUARED_EXPONENTIAL
 MATERN = KernelFamily.MATERN52
@@ -36,10 +35,8 @@ def linear_trend_gp(slope=-0.014, sigma_sq=0.0, basis=MeanBasis.LINEAR):
 
 class TestObserved:
     def table(self):
-        rates = {(60, 2000): 0.0100, (60, 2001): 0.0098, (61, 2000): 0.0200, (61, 2001): 0.0200}
-        return MortalityTable(
-            [MortalityCell(age=a, year=y, deaths=r * 1e5, exposure=1e5) for (a, y), r in rates.items()]
-        )
+        rates = np.array([0.0100, 0.0098, 0.0200, 0.0200])
+        return MortalityTable([60, 60, 61, 61], [2000, 2001, 2000, 2001], rates * 1e5, np.full(4, 1e5))
 
     def test_equal_rates_give_zero(self):
         curve = mi_back_observed(self.table(), 2001, ages=[61])
@@ -61,9 +58,9 @@ class TestObserved:
                 mi_back_observed(self.table(), 2005)
 
     def test_one_warning_per_reason_lists_the_ages(self):
-        zero_death = [MortalityCell(age=63, year=2000, deaths=0.0, exposure=1e5), MortalityCell(age=63, year=2001, deaths=5.0, exposure=1e5)]
+        base = self.table()
         with pytest.warns(UserWarning, match="zero-death cell"):
-            table = MortalityTable([*self.table(), *zero_death])
+            table = MortalityTable([*base.age, 63, 63], [*base.year, 2000, 2001], [*base.deaths, 0.0, 5.0], [*base.exposure, 1e5, 1e5])
         with pytest.warns(UserWarning) as record:
             curve = mi_back_observed(table, 2001, ages=[60, 61, 62, 63, 64])
         np.testing.assert_array_equal(curve.ages, [60, 61])
@@ -118,7 +115,7 @@ def routed_gp(family, route):
     hp = KernelHyperparams(theta_ag=8.0, theta_yr=4.0, eta_sq=0.3, sigma_sq=4e-4)
     table = simulate_grid_table(range(50, 62), range(2000, 2010), hp, seed=14)
     if route == "holes":  # part of the last year missing
-        table = MortalityTable([c for c in table if not (c.year == 2009 and c.age > 55)])
+        table = rows_of(table, ~((table.year == 2009) & (table.age > 55)))
     if route == "dense":  # a non-constant noise diagonal
         noise = hp.sigma_sq * np.linspace(0.5, 2.0, len(table))
         gp = fit_gls_xy(table.inputs(), table.responses(), family, hp, basis=MeanBasis.LINEAR, noise_diag=noise)

@@ -8,7 +8,6 @@ from mortgp import (
     DeltaMethodNoise,
     KernelFamily,
     KernelHyperparams,
-    MortalityCell,
     MortalityTable,
     cov_matrix,
     cross_cov,
@@ -266,9 +265,7 @@ class TestYearDerivatives:
 
 class TestNoiseModels:
     def table(self, deaths=100.0, exposure=1e4, n=5):
-        return MortalityTable(
-            [MortalityCell(age=60 + i, year=2000, deaths=deaths, exposure=exposure) for i in range(n)]
-        )
+        return MortalityTable(60 + np.arange(n), np.full(n, 2000), np.full(n, deaths), np.full(n, exposure))
 
     def test_constant_noise(self):
         diag = noise_diagonal(ConstantNoise(2.808e-4), self.table(n=5))
@@ -279,18 +276,13 @@ class TestNoiseModels:
 
     def test_delta_method_value(self):
         # p = 0.01 at exposed-to-risk E = 1e5: deaths 1000, L = E - D/2
-        table = MortalityTable([MortalityCell(age=60, year=2000, deaths=1000.0, exposure=1e5 - 500.0)])
+        table = MortalityTable([60], [2000], [1000.0], [1e5 - 500.0])
         diag = noise_diagonal(DeltaMethodNoise(overdispersion=2.0), table)
         assert diag[0] == pytest.approx(2.0 * 0.99 / (0.01 * 1e5), rel=1e-12)
 
     def test_delta_method_rejects_zero_death_cells(self):
         with pytest.warns(UserWarning):
-            table = MortalityTable(
-                [
-                    MortalityCell(age=60, year=2000, deaths=0.0, exposure=1e4),
-                    MortalityCell(age=61, year=2000, deaths=10.0, exposure=1e4),
-                ]
-            )
+            table = MortalityTable([60, 61], [2000, 2000], [0.0, 10.0], [1e4, 1e4])
         with pytest.raises(ValueError, match="deaths > 0"):
             noise_diagonal(DeltaMethodNoise(2.0), table)
 

@@ -8,7 +8,6 @@ from mortgp import (
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
-    MortalityCell,
     MortalityTable,
     fit_gls,
     predict,
@@ -40,7 +39,7 @@ class TestUpdate:
     def test_empty_update_is_identity(self, tables):
         _, base, _ = tables
         gp = fit_gls(base, SQEXP, HP)
-        updated = update(gp, MortalityTable([]))
+        updated = update(gp, MortalityTable([], [], [], []))
         probes = np.array([[55.0, 2013.0], [65.0, 2005.0]])
         before = predict(gp, probes, want_covariance=True)
         after = predict(updated, probes, want_covariance=True)
@@ -81,18 +80,18 @@ class TestUpdate:
     def test_overlap_names_the_first_clash_in_table_order(self, tables):
         _, base, new = tables
         gp = fit_gls(base, SQEXP, HP)
-        cells = [MortalityCell(age=a, year=y, deaths=50.0, exposure=1e4) for a, y in [(69, 2010), (65, 2010), (50, 2011), (68, 2009)]]
+        ages, years = [69, 65, 50, 68], [2010, 2010, 2011, 2009]
         with pytest.raises(ValueError, match=re.escape("overlap training data at (age, year) = (68, 2009)")):
-            update(gp, MortalityTable(cells))
+            update(gp, MortalityTable(ages, years, [50.0] * 4, [1e4] * 4))
         with pytest.raises(ValueError, match=re.escape("overlap training data at (age, year) = (65, 2010)")):
-            update(gp, MortalityTable(cells[:3]))
+            update(gp, MortalityTable(ages[:3], years[:3], [50.0] * 3, [1e4] * 3))
         assert update(gp, new).n == gp.n + len(new)
 
     def test_new_data_without_trainable_cells_rejected(self, tables):
         _, base, new = tables
         gp = fit_gls(base, SQEXP, HP)
         with pytest.warns(UserWarning, match="zero-death"):
-            dead = MortalityTable([MortalityCell(age=c.age, year=c.year, deaths=0.0, exposure=c.exposure) for c in new])
+            dead = MortalityTable(new.age, new.year, np.zeros(len(new)), new.exposure)
         with pytest.raises(ValueError, match=f"new data has no trainable cells: all {len(new)} of its cells"):
             update(gp, dead)
 
