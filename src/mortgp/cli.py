@@ -89,9 +89,13 @@ def _parse_probes(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _load_training_table(args) -> MortalityTable:
-    table = load_table(args.data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the file's zero-death cells: the training table's own are named below
+        table = load_table(args.data)
     spec = _parse_subset(args.subset)
-    return subset(table, spec) if spec is not None else table
+    table = subset(table, spec) if spec is not None else table
+    table._warn_zero_deaths()
+    return table
 
 
 def _write_manifest(out: Path, args) -> None:

@@ -77,11 +77,8 @@ class MortalityTable:
         log_rate = np.full(age.size, math.nan)
         alive = deaths > 0
         log_rate[alive] = list(map(math.log, (deaths[alive] / exposure[alive]).tolist()))
-        dead = np.flatnonzero(~alive)
-        if dead.size:
-            named = ", ".join(f"(age {age[i]}, {year[i]})" for i in dead[:3]) + (", ..." if dead.size > 3 else "")
-            warnings.warn(f"{dead.size} zero-death cell(s) flagged: {named}; they are excluded from training", stacklevel=2)
         self._set(age, year, deaths, exposure, log_rate)
+        self._warn_zero_deaths()
 
     def _set(self, age, year, deaths, exposure, log_rate) -> None:
         self.age, self.year, self.deaths, self.exposure, self.log_rate, self.trainable = age, year, deaths, exposure, log_rate, deaths > 0
@@ -106,6 +103,13 @@ class MortalityTable:
 
     def ages(self) -> np.ndarray:
         return np.unique(self.age)
+
+    def _warn_zero_deaths(self) -> None:
+        """Warn, at the caller's caller, about the zero-death cells, naming the first three; silent when there are none."""
+        dead = np.flatnonzero(~self.trainable)
+        if dead.size:
+            named = ", ".join(f"(age {self.age[i]}, {self.year[i]})" for i in dead[:3]) + (", ..." if dead.size > 3 else "")
+            warnings.warn(f"{dead.size} zero-death cell(s) flagged: {named}; they are excluded from training", stacklevel=3)
 
 
 @dataclass(frozen=True)

@@ -124,13 +124,6 @@ class PosteriorSummary:
         self.inputs = np.asarray(self.inputs, dtype=float).reshape(-1, 2)
         self.mean = np.asarray(self.mean, dtype=float).ravel()
         self.variance = _clamp_variance(self.variance)
-        if self.covariance is not None:
-            c = np.asarray(self.covariance, dtype=float)
-            if not np.allclose(c, c.T, atol=1e-10, rtol=0.0):
-                raise ValueError("posterior covariance is not symmetric")
-            if np.max(np.abs(np.diag(c) - self.variance)) > 1e-10:
-                raise ValueError("posterior covariance diagonal disagrees with variance")
-            self.covariance = c
 
     @property
     def sd(self) -> np.ndarray:
@@ -603,23 +596,21 @@ def predict_observation(gp: FittedGP, x_star) -> PosteriorSummary:
 def sample_paths(gp: FittedGP, x_star, n_paths: int, seed: int) -> np.ndarray:
     """Draw joint posterior trajectories of the latent surface.
 
+    Each path is mean + R z, z drawn as ``default_rng(seed).standard_normal((M, n_paths))``, through the symmetric
+    square root R = V sqrt(max(w, 0)) V^T of the posterior covariance C = V diag(w) V^T.  An eigenvalue below
+    -``VARIANCE_TOL``, the bound each posterior variance is held to, raises ``FactorizationError``.
     Returns an (n_paths, M) array; deterministic for a given seed.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     post = predict(gp, x_star, want_covariance=True)
-    m = post.mean.size
-    cov = post.covariance + 1e-10 * np.eye(m)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(cov).min())
-        raise FactorizationError(
-            f"posterior covariance not positive definite after jitter (smallest pivot {smallest:.6e})"
-        ) from None
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((m, n_paths))
-    return (post.mean[:, None] + factor @ z).T
+    w, v = np.linalg.eigh(post.covariance)
+    smallest = w.min(initial=0.0)
+    if smallest < -VARIANCE_TOL:
+        raise FactorizationError(f"posterior covariance has eigenvalue {smallest:.6e} below -{VARIANCE_TOL:.0e}; not attributable to roundoff")
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    z = np.random.default_rng(seed).standard_normal((w.size, n_paths))
+    return (post.mean[:, None] + root @ z).T
 
 
 def predict_year_derivative(gp: FittedGP, x_star) -> PosteriorSummary:

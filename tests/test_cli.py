@@ -656,6 +656,22 @@ class TestWarnings:
         )
         assert [int(row["age"]) for row in read_csv(tmp_path / "improvement.csv")] == [60, *range(62, 70)]
 
+    def test_fit_on_a_subset_names_only_its_zero_death_cells(self, zero_death_csv, tmp_path):
+        done = run_cli("fit", "--data", str(zero_death_csv), "--subset", "2004-2009:61-69", "--restarts", "2", "--out", str(tmp_path))
+        assert done.returncode == 0
+        assert done.stderr == "warning: 2 zero-death cell(s) flagged: (age 61, 2005), (age 69, 2009); they are excluded from training\n"
+
+    def test_improve_obs_on_a_subset_names_only_its_zero_death_cells(self, zero_death_csv, tmp_path):
+        argv = ["--data", str(zero_death_csv), "--year", "2005", "--out", str(tmp_path)]
+        done = run_cli("improve", "--kind", "obs", "--subset", "2003-2006:60-65", *argv)
+        assert done.returncode == 0
+        assert done.stderr == (
+            "warning: 2 zero-death cell(s) flagged: (age 60, 2003), (age 61, 2005); they are excluded from training\n"
+            "warning: a zero-death cell in 2005 or 2004; omitted age(s) 61\n"
+        )
+        done = run_cli("improve", "--kind", "obs", "--subset", "2000-2009:62-68", *argv)  # none of the three
+        assert done.returncode == 0 and done.stderr == ""
+
     def test_improve_obs_in_the_first_year_fails_without_warnings(self, data_csv, tmp_path):
         done = run_cli("improve", "--kind", "obs", "--data", str(data_csv), "--year", "1999", "--out", str(tmp_path))
         assert done.returncode == 1

@@ -348,6 +348,35 @@ class TestSamplePaths:
         rel = np.linalg.norm(emp - post.covariance, "fro") / np.linalg.norm(post.covariance, "fro")
         assert rel < 0.05
 
+    @staticmethod
+    def stub_posterior(monkeypatch, eigenvalues, seed):
+        """Make ``predict`` return mean -4 and the covariance Q diag(eigenvalues) Q^T for a random orthogonal Q."""
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))[0]
+        cov = (q * eigenvalues) @ q.T
+        stub = gp_mod.PosteriorSummary(np.zeros((len(eigenvalues), 2)), np.full(len(eigenvalues), -4.0), np.diag(cov), cov)
+        monkeypatch.setattr(gp_mod, "predict", lambda gp, xs, want_covariance: stub)
+        return stub
+
+    def test_eigenvalue_below_tolerance_raises_naming_it(self, monkeypatch):
+        self.stub_posterior(monkeypatch, [-1e-6, 0.1, 0.3, 0.6, 1.0], seed=6)
+        with pytest.raises(FactorizationError, match=r"^posterior covariance has eigenvalue -1\.000000e-06 below -1e-10; "):
+            sample_paths(None, np.zeros((5, 2)), 10, seed=1)
+
+    def test_roundoff_eigenvalues_draw_paths_pinned_to_the_mean(self, monkeypatch):
+        # a zero covariance up to roundoff, as at the training cells of a noiseless fit
+        stub = self.stub_posterior(monkeypatch, [-1e-15, -4e-16, 0.0, 3e-16, 1e-15], seed=7)
+        paths = sample_paths(None, np.zeros((5, 2)), 1000, seed=2)
+        assert np.max(np.abs(paths - stub.mean)) < 1e-6
+
+    def test_interpolating_fit_at_every_training_cell_is_pinned_to_its_data(self):
+        # the covariance is about the 1e-10 jitter times I and its smallest eigenvalues are roundoff near -1e-15,
+        # which a bound relative to the largest eigenvalue, 1e-10 here, would reject
+        hp = KernelHyperparams(theta_ag=4.0, theta_yr=4.0, eta_sq=1.0, sigma_sq=0.0)
+        x = grid_inputs(10, 10)
+        y = np.cos(0.3 * x[:, 0]) - 4.0
+        paths = sample_paths(fit_gls_xy(x, y, SQEXP, hp), x, 200, seed=3)
+        assert np.max(np.abs(paths - y)) < 1e-3
+
 
 class TestResiduals:
     """In-sample residuals y - m_*(x)."""
@@ -705,6 +734,53 @@ class TestGridRouteWithoutRowOrder:
             assert gp_mod._grid_cells(kernels_mod._axes(repeated)) is None
             gp = fit_gls_xy(repeated, np.zeros(repeated.shape[0]), SQEXP, PUBLISHED_HP, basis=None)
             assert not is_grid(gp)
+
+
+ROUTES = ["grid", "holes", "dense"]
+
+
+def routed_model(route, eta_sq=1.0):
+    """A quadratic-trend fit to ``grid_xy`` data on a 12 x 8 grid by the named route, with sigma^2 = eta^2 / 100."""
+    hp = KernelHyperparams(theta_ag=8.0, theta_yr=6.0, eta_sq=eta_sq, sigma_sq=1e-2 * eta_sq)
+    x, y = grid_xy(range(50, 62), range(2000, 2008))
+    if route == "holes":
+        keep = (x[:, 1] < 2007) | (x[:, 0] < 58)  # not the four oldest ages of the last year
+        x, y = x[keep], y[keep]
+    args = (x, y, SQEXP, hp)
+    gp = dense_route(fit_gls_xy, *args, basis=MeanBasis.QUADRATIC_AGE) if route == "dense" else fit_gls_xy(*args, basis=MeanBasis.QUADRATIC_AGE)
+    assert (is_grid(gp), has_holes(gp)) == (route != "dense", route == "holes")
+    return gp
+
+
+class TestPosteriorCovarianceOnEveryRoute:
+    """``predict``'s covariance is exactly symmetric with the variance on its diagonal, and ``sample_paths``'s draws
+    reproduce it, on the grid, holes and dense routes."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_symmetric_with_the_variance_on_its_diagonal(self, route):
+        gp = routed_model(route)
+        rng = np.random.default_rng(5)
+        forecast = np.array([[a, y] for y in (2008.0, 2011.0) for a in range(50, 62)])
+        scattered = np.column_stack([rng.uniform(50, 61, 6), rng.uniform(2000, 2012, 6)])
+        for xs in (gp.x, forecast, forecast[1:], scattered):
+            post = predict(gp, xs, want_covariance=True)
+            np.testing.assert_array_equal(post.covariance, post.covariance.T)
+            assert np.max(np.abs(np.diag(post.covariance) - post.variance)) <= 1e-10
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_draws_reproduce_the_covariance(self, route):
+        # C's entries are below 1e-2, so an absolute 1e-10 on the draws' covariance, such as a nugget of 1e-10 I
+        # would add, is 3-9e-8 of C's largest entry and fails the gate
+        gp = routed_model(route, eta_sq=0.1)
+        xs = np.column_stack([np.arange(50.0, 62.0), np.full(12, 2008.0)])
+        post = predict(gp, xs, want_covariance=True)
+        c = post.covariance
+        assert np.abs(c).max() < 1e-2
+        # with M paths, paths^T - mean = R z for the M x M draws z, so the linear map R is recovered by a solve
+        z = np.random.default_rng(9).standard_normal((12, 12))
+        root = np.linalg.solve(z.T, sample_paths(gp, xs, 12, seed=9) - post.mean).T
+        assert np.max(np.abs(root @ root.T - c)) <= 1e-10 * np.abs(c).max()
+        np.testing.assert_allclose(root, root.T, rtol=0, atol=1e-10 * np.abs(root).max())  # the symmetric root
 
 
 # Points of the two property tests above, drawn at other Hypothesis seeds, where the routes' means at
