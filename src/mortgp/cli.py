@@ -90,12 +90,10 @@ def _parse_probes(text: str) -> tuple[tuple[int, int], ...]:
 
 def _load_training_table(args) -> MortalityTable:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the file's zero-death cells: the training table's own are named below
+        warnings.simplefilter("ignore")  # the file's zero-death cells: fit and improve name the training table's own
         table = load_table(args.data)
     spec = _parse_subset(args.subset)
-    table = subset(table, spec) if spec is not None else table
-    table._warn_zero_deaths()
-    return table
+    return subset(table, spec) if spec is not None else table
 
 
 def _write_manifest(out: Path, args) -> None:
@@ -126,6 +124,7 @@ def _write_estimates(path: Path, rows) -> None:
 
 def cmd_fit(args, out: Path) -> None:
     table = _load_training_table(args)
+    table._warn_zero_deaths()  # the GP leaves them out; glm fits them, so it does not warn
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
     model = result.model
@@ -171,6 +170,7 @@ def cmd_improve(args, out: Path) -> None:
         if args.data is None:
             raise ValueError("--kind obs requires --data")
         table = _load_training_table(args)
+        table._warn_zero_deaths()
         ages = np.arange(args.ages[0], args.ages[1] + 1) if args.ages else None
         curve = imp_mod.mi_back_observed(table, args.year, ages=ages)
     else:
@@ -284,18 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mortgp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=False, model=False):
-        p.add_argument("--out", default="mortgp_out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--level", type=_parse_level, default=0.95, help="credible level for bands, in (0, 1)")
-        if data:
-            p.add_argument("--data", required=True, help="mortality CSV (age,year,deaths,exposure)")
-            p.add_argument("--subset", default="all", help="all, subset1..3, or Y0-Y1:A0-A1[,...] blocks")
-        if model:
-            p.add_argument("--model", required=True, help="fitted model JSON from `mortgp fit`")
+    shared = {  # options of several commands; each command takes only those it reads
+        "--out": dict(default="mortgp_out", help="output directory"),
+        "--data": dict(required=True, help="mortality CSV (age,year,deaths,exposure)"),
+        "--subset": dict(default="all", help="all, subset1..3, or Y0-Y1:A0-A1[,...] blocks"),
+        "--model": dict(required=True, help="fitted model JSON from `mortgp fit`"),
+        "--seed": dict(type=int, default=0),
+        "--level": dict(type=_parse_level, default=0.95, help="credible level for bands, in (0, 1)"),
+    }
+
+    def add_common(p, *names):
+        for name in ("--out", *names):
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("fit", help="estimate hyperparameters by maximum likelihood")
-    add_common(p, data=True)
+    add_common(p, "--data", "--subset", "--seed")
     p.add_argument("--mean", choices=sorted(MEAN_NAMES), default="intercept")
     p.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default="sqexp")
     p.add_argument("--noise", type=lambda text: _noise_model(text) and text, default="constant", help="constant or delta:K (overdispersion factor K)")
@@ -303,20 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("smooth", help="in-sample smoothed surface at the training cells")
-    add_common(p, model=True)
+    add_common(p, "--model", "--level")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("forecast", help="posterior surface over an age/year grid")
-    add_common(p, model=True)
+    add_common(p, "--model", "--level")
     p.add_argument("--years", type=_parse_range, required=True, metavar="Y0-Y1")
     p.add_argument("--ages", type=_parse_range, required=True, metavar="A0-A1")
     p.add_argument("--observation", action="store_true", help="widen bands by the observation noise")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("improve", help="mortality improvement factors by age")
-    add_common(p)
+    add_common(p, "--subset", "--level")
     p.add_argument("--data", help="mortality CSV (required for --kind obs)")
-    p.add_argument("--subset", default="all")
     p.add_argument("--model", help="fitted model JSON (required for back/diff/centered)")
     p.add_argument("--kind", choices=["obs", "back", "diff", "centered"], required=True)
     p.add_argument("--year", type=int, required=True)
@@ -326,25 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_improve, level=0.80)
 
     p = sub.add_parser("sample", help="joint posterior trajectories across ages")
-    add_common(p, model=True)
+    add_common(p, "--model", "--seed")
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--ages", type=_parse_range, required=True, metavar="A0-A1")
     p.add_argument("--n-paths", type=int, default=100)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("update", help="fold new cells into a fitted model (fixed hyperparameters)")
-    add_common(p, model=True)
+    add_common(p, "--model")
     p.add_argument("--new-data", required=True, help="CSV of new cells")
     p.add_argument("--probes", type=_parse_probes, default=None, help="AGE:YEAR[,AGE:YEAR...] probe points (default: the new cells)")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("glm", help="Poisson GLM baseline with exposure offset")
-    add_common(p, data=True)
+    add_common(p, "--data", "--subset")
     p.add_argument("--mean", choices=[basis.value for basis in MeanBasis], default="quadratic")
     p.set_defaults(func=cmd_glm)
 
     p = sub.add_parser("experiment", help="train/test replication over the named subsets")
-    add_common(p, data=True)
+    add_common(p, "--data", "--seed", "--level")
     p.add_argument("--protocol", required=True, help="<subset>-<mean>, e.g. subset3-quadratic, or table6")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--probe-year", type=int, default=2014)

@@ -6,10 +6,10 @@ exp(-d^2 / (2 theta^2)) (squared-exponential) or (1 + sqrt5 r + 5 r^2 / 3)
 exp(-sqrt5 r), r = |d| / theta (Matern-5/2).  Every kernel array is gathered
 from two small tables, the factor between the distinct ages and between the
 distinct years of the two input sets: C[i, j] = eta^2 K_ag[ia_i, ja_j]
-K_yr[iy_i, jy_j].  The squared-exponential additionally supports analytic
-first and second derivatives in the year coordinate, which replace the year
-table and drive the instantaneous mortality-improvement posterior.  Both
-families give the factor's derivative in log theta, for the likelihood
+K_yr[iy_i, jy_j].  Both families are twice mean-square differentiable, so
+each gives closed-form first and second derivatives in the year coordinate,
+which replace the year table and drive the instantaneous mortality-improvement
+posterior, and the factor's derivative in log theta, for the likelihood
 gradient.  Derivatives are checked against central differences in the tests.
 """
 
@@ -78,17 +78,21 @@ def _dlog_factor(family: KernelFamily, d, theta: float) -> np.ndarray:
 
 
 def _dfactor(family: KernelFamily, d, theta: float) -> np.ndarray:
-    """Derivative of ``_factor`` at d = x - x' in x' (squared-exponential only)."""
-    _require_differentiable(family)
+    """Derivative of ``_factor`` at d = x - x' in x': k d / theta^2 (squared-exponential), (5/3) (1 + sqrt5 r) exp(-sqrt5 r) d / theta^2 (Matern-5/2)."""
+    if family is KernelFamily.MATERN52:
+        r = np.abs(d) / theta
+        return (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r) * d / theta**2
     return _factor(family, d, theta) * d / theta**2
 
 
 def _d2factor(family: KernelFamily, d, theta: float) -> np.ndarray:
-    """Mixed second derivative of ``_factor`` at d = x - x' in x and x' (squared-exponential only).
-
-    At d = 0, times eta^2, it is the prior variance of the year-derivative process, eta^2 / theta^2.
+    """Mixed second derivative of ``_factor`` at d = x - x' in x and x': k (1 - r^2) / theta^2 (squared-exponential),
+    (5/3) (1 + sqrt5 r - 5 r^2) exp(-sqrt5 r) / theta^2 (Matern-5/2).  At d = 0 it is 1 / theta^2 and 5 / (3 theta^2):
+    times eta^2, the prior variance of the year-derivative process.
     """
-    _require_differentiable(family)
+    if family is KernelFamily.MATERN52:
+        r = np.abs(d) / theta
+        return (5.0 / 3.0) * (1.0 + SQRT5 * r - 5.0 * r * r) * np.exp(-SQRT5 * r) / theta**2
     return _factor(family, d, theta) * (1.0 - (d / theta) ** 2) / theta**2
 
 
@@ -135,14 +139,6 @@ def cov_matrix(family: KernelFamily, hp: KernelHyperparams, X) -> np.ndarray:
 def cross_cov(family: KernelFamily, hp: KernelHyperparams, X, Xstar) -> np.ndarray:
     """(N, M) covariance between training inputs X and prediction inputs Xstar."""
     return _separable(family, hp, X, Xstar, _factor)
-
-
-def _require_differentiable(family: KernelFamily) -> None:
-    if family is not KernelFamily.SQUARED_EXPONENTIAL:
-        raise NotImplementedError(
-            f"{family.value} kernel does not support year-derivative operations; "
-            "use the squared-exponential family"
-        )
 
 
 @dataclass(frozen=True)

@@ -140,16 +140,16 @@ class TestDownstreamCommands:
             "--kind", kind, "--year", "2010", "--ages", "50-70", "--level", "0.80",
         ]
         out = tmp_path / kind
-        rc = main(base + ["--seed", "2", "--out", str(out)])
+        rc = main(base + ["--out", str(out)])
         assert rc == 0
         rows = read_csv(out / "improvement.csv")
         assert len(rows) == 21
         for row in rows:
             assert row["kind"] in ("backward_gp", "derivative_gp", "centered")
             assert float(row["lo"]) <= float(row["mean"]) <= float(row["hi"])
-        if kind == "back":  # exact: --n-samples and --seed are parsed but change no byte
+        if kind == "back":  # exact: --n-samples is parsed but changes no byte
             written = []
-            for i, extra in enumerate([[], ["--n-samples", "10000"], ["--n-samples", "2", "--seed", "7"]]):
+            for i, extra in enumerate([[], ["--n-samples", "10000"], ["--n-samples", "2"]]):
                 assert main(base + extra + ["--out", str(tmp_path / f"back{i}")]) == 0
                 written.append((tmp_path / f"back{i}" / "improvement.csv").read_bytes())
             assert written[0] == written[1] == written[2] == (out / "improvement.csv").read_bytes()
@@ -404,16 +404,12 @@ class TestGridModelMemory:
 
 # valid arguments, apart from --level, for every command that takes --level
 LEVEL_COMMANDS = {
-    "fit": lambda model, data: ["fit", "--data", str(data)],
     "smooth": lambda model, data: ["smooth", "--model", str(model)],
     "forecast": lambda model, data: ["forecast", "--model", str(model), "--years", "2015-2016", "--ages", "60-62"],
     "improve-back": lambda model, data: ["improve", "--model", str(model), "--kind", "back", "--year", "2014"],
     "improve-diff": lambda model, data: ["improve", "--model", str(model), "--kind", "diff", "--year", "2014"],
     "improve-centered": lambda model, data: ["improve", "--model", str(model), "--kind", "centered", "--year", "2014"],
     "improve-obs": lambda model, data: ["improve", "--data", str(data), "--kind", "obs", "--year", "2014"],
-    "sample": lambda model, data: ["sample", "--model", str(model), "--year", "2015", "--ages", "60-62"],
-    "update": lambda model, data: ["update", "--model", str(model), "--new-data", str(data)],
-    "glm": lambda model, data: ["glm", "--data", str(data)],
     "experiment": lambda model, data: ["experiment", "--data", str(data), "--protocol", "subset3-intercept"],
 }
 
@@ -521,6 +517,23 @@ class TestErrors:
         subparsers = build_parser()._subparsers._group_actions[0].choices
         with_level = {name for name, p in subparsers.items() if any("--level" in a.option_strings for a in p._actions)}
         assert with_level == {args(Path("m"), Path("d"))[0] for args in LEVEL_COMMANDS.values()}
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *(f"{command} --seed 1" for command in ("smooth", "forecast", "improve", "update", "glm")),
+            *(f"{command} --level 0.9" for command in ("fit", "sample", "update", "glm")),
+            "experiment --subset subset1",
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, model_dir, data_csv, tmp_path, capsys, case):
+        command, *option = case.split()
+        args = MANIFEST_COMMANDS[command](model_dir / "model.json", data_csv, data_csv)
+        with pytest.raises(SystemExit) as err:
+            main(args + option + ["--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_emitted_table_csv_reingestable(self, data_csv):
         table = load_table(data_csv)
@@ -671,6 +684,15 @@ class TestWarnings:
         )
         done = run_cli("improve", "--kind", "obs", "--subset", "2000-2009:62-68", *argv)  # none of the three
         assert done.returncode == 0 and done.stderr == ""
+
+    def test_glm_fits_zero_death_cells_without_warning(self, zero_death_csv, tmp_path):
+        # the Poisson GLM counts every cell: an intercept fit is log(total deaths / total exposure), zero-death cells included
+        done = run_cli("glm", "--data", str(zero_death_csv), "--mean", "intercept", "--out", str(tmp_path))
+        assert done.returncode == 0 and done.stderr == ""
+        with pytest.warns(UserWarning, match="^3 zero-death cell"):
+            table = load_table(zero_death_csv)
+        beta_0 = float(read_csv(tmp_path / "glm.csv")[0]["estimate"])  # IRLS stops at 1e-9 relative in the deviance
+        assert beta_0 == pytest.approx(math.log(table.deaths.sum() / table.exposure.sum()), rel=1e-9)
 
     def test_improve_obs_in_the_first_year_fails_without_warnings(self, data_csv, tmp_path):
         done = run_cli("improve", "--kind", "obs", "--data", str(data_csv), "--year", "1999", "--out", str(tmp_path))

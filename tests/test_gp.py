@@ -495,11 +495,10 @@ def assert_routes_agree(grid, dense, ages, years, seed=0):
         np.testing.assert_allclose(pg.variance, pd.variance, rtol=0, atol=1e-10)
         if want_covariance:
             np.testing.assert_allclose(pg.covariance, pd.covariance, rtol=0, atol=1e-10)
-    if grid.family is SQEXP:
-        at_last = np.column_stack([ages, np.full(ages.size, last)])
-        dg, dd = predict_year_derivative(grid, at_last), predict_year_derivative(dense, at_last)
-        np.testing.assert_allclose(dg.mean, dd.mean, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(dg.variance, dd.variance, rtol=0, atol=1e-10)
+    at_last = np.column_stack([ages, np.full(ages.size, last)])
+    dg, dd = predict_year_derivative(grid, at_last), predict_year_derivative(dense, at_last)
+    np.testing.assert_allclose(dg.mean, dd.mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dg.variance, dd.variance, rtol=0, atol=1e-10)
     for lo, hi in ((last - 1, last), (last - 0.01, last + 0.01), (last + 2, last + 3)):
         (mg, vg), (md, vd) = _year_difference(grid, ages, lo, hi), _year_difference(dense, ages, lo, hi)
         np.testing.assert_allclose(mg, md, rtol=0, atol=1e-10)
@@ -819,6 +818,57 @@ def test_routes_within_conditioning_of_reference_at_float64_floor(ages, years, b
     assert is_grid(grid) and has_holes(grid) == bool(holes) and not is_grid(dense)
     for gp in (grid, dense):
         np.testing.assert_allclose(predict(gp, scattered).mean, reference, rtol=0, atol=gate)
+
+
+def backward_error(a, z, b):
+    """Normwise backward error |b - A z| / (|A| |z| + |b|), infinity norms, of z as a solution of A z = b
+    (Rigal & Gaches 1967; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 7.1); the
+    largest over the columns of a matrix b.  The residual is summed in extended precision, so its own
+    roundoff does not count against the solve."""
+    z, b = z.reshape(b.shape[0], -1), b.reshape(b.shape[0], -1)
+    r = b.astype(np.longdouble) - a.astype(np.longdouble) @ z.astype(np.longdouble)
+    return float(np.max(np.abs(r).max(axis=0) / (np.abs(a).sum(axis=1).max() * np.abs(z).max(axis=0) + np.abs(b).max(axis=0))))
+
+
+class TestBackwardError:
+    """Every whitener's solve is backward stable over the whole MLE box: eta(z) <= 16 eps for z = solve(b).
+
+    A forward error grows with cond(A), so no fixed gate on one holds near float64's floor; the backward
+    error does not, so this one holds at every point, sigma^2 / eta^2 down to 1e-12 and the box's corners
+    included.  A is built from ``cov_matrix`` and the noise diagonal, apart from the whitener's own arrays.
+    """
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ages=st.lists(st.integers(0, 100), min_size=2, max_size=11, unique=True),
+        years=st.lists(st.integers(1950, 2020), min_size=2, max_size=11, unique=True),
+        family=st.sampled_from(list(KernelFamily)),
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        holes=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=24),
+        permuted=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_solve_is_backward_stable(self, route, ages, years, family, fractions, holes, permuted, seed):
+        bounds = np.log([BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds])
+        hp = KernelHyperparams(*np.exp(bounds[:, 0] + np.array(fractions) * (bounds[:, 1] - bounds[:, 0])))
+        rng = np.random.default_rng(seed)
+        x = np.array([[a, y] for y in sorted(years) for a in sorted(ages)], dtype=float)
+        if route == "holes":  # m <= N / 5 cells missing, so m <= n / 4
+            keep = np.ones(x.shape[0], dtype=bool)
+            keep[[int(h * x.shape[0]) for h in holes[: x.shape[0] // 5]]] = False
+            x = x[keep]
+        # constant noise on the grid routes; on the dense route noise that varies by up to 2x
+        noise = hp.sigma_sq * (rng.uniform(1.0, 2.0, x.shape[0]) if route == "dense" else np.ones(x.shape[0]))
+        if permuted:
+            order = rng.permutation(x.shape[0])
+            x, noise = x[order], noise[order]
+        whitener, jitter = gp_mod._Covariance(family, x)(hp, noise)
+        a = cov_matrix(family, hp, x) + np.diag(noise + jitter)
+        for b in (rng.standard_normal(x.shape[0]), rng.standard_normal((x.shape[0], 3))):
+            z = whitener.solve(b)
+            assert z.shape == b.shape
+            assert backward_error(a, z, b) <= 16 * np.finfo(float).eps
 
 
 class TestWhitenerRoute:

@@ -226,13 +226,14 @@ class TestCentered:
 
 
 class TestDerivativeGP:
-    def test_self_consistent_with_surface_derivative(self):
+    @pytest.mark.parametrize("family", [SQEXP, MATERN], ids=["sqexp", "matern52"])
+    def test_self_consistent_with_surface_derivative(self, family):
         rng = np.random.default_rng(63)
         x = np.column_stack([rng.uniform(0, 25, 90), rng.uniform(0, 14, 90)])
         y = -4.0 + 0.04 * x[:, 0] - 0.02 * x[:, 1] + 0.2 * np.cos(0.4 * x[:, 1])
         hp = KernelHyperparams(theta_ag=5.0, theta_yr=4.0, eta_sq=0.7, sigma_sq=2e-4)
         for basis in (None, MeanBasis.INTERCEPT, MeanBasis.LINEAR, MeanBasis.QUADRATIC_AGE):
-            gp = fit_gls_xy(x, y, SQEXP, hp, basis=basis)
+            gp = fit_gls_xy(x, y, family, hp, basis=basis)
             h = 1e-4
             for age, year in [(5.0, 3.0), (12.0, 7.5), (20.0, 13.0), (24.0, 20.0)]:
                 up = predict(gp, [[age, year + h]]).mean[0]
@@ -241,7 +242,8 @@ class TestDerivativeGP:
                 analytic = mi_diff_gp(gp, [age], year).mean[0]
                 assert abs(analytic - fd) / (abs(fd) + 1e-12) < 1e-5
 
-    def test_variance_matches_covariance_curvature_oracle(self):
+    @pytest.mark.parametrize("family", [SQEXP, MATERN], ids=["sqexp", "matern52"])
+    def test_variance_matches_covariance_curvature_oracle(self, family):
         # Var[df/dyr] is the mixed second derivative of the posterior
         # covariance at coincident points, estimated here by differencing
         rng = np.random.default_rng(99)
@@ -250,7 +252,7 @@ class TestDerivativeGP:
         hp = KernelHyperparams(theta_ag=5.0, theta_yr=4.0, eta_sq=0.7, sigma_sq=2e-4)
         h = 1e-3
         for basis in (None, MeanBasis.INTERCEPT, MeanBasis.QUADRATIC_AGE):
-            gp = fit_gls_xy(x, y, SQEXP, hp, basis=basis)
+            gp = fit_gls_xy(x, y, family, hp, basis=basis)
             for age, year in [(5.0, 3.0), (12.0, 7.5), (24.0, 25.0)]:
                 post = predict(gp, [[age, year + h], [age, year - h]], want_covariance=True)
                 c = post.covariance
@@ -266,25 +268,19 @@ class TestDerivativeGP:
         np.testing.assert_allclose(curve.mean, 0.0, atol=1e-12)
         assert np.all(curve.sd >= 0)
 
-    def test_far_field_variance_is_prior_derivative_variance(self):
+    @pytest.mark.parametrize("family, factor", [(SQEXP, 1.0), (MATERN, 5.0 / 3.0)], ids=["sqexp", "matern52"])
+    def test_far_field_variance_is_prior_derivative_variance(self, family, factor):
         table = table_from_surface(range(55, 65), range(2000, 2010), lambda a, y: -4.2)
         hp = KernelHyperparams(theta_ag=5.0, theta_yr=5.0, eta_sq=0.3, sigma_sq=1e-4)
-        gp = fit_gls(table, SQEXP, hp, basis=MeanBasis.INTERCEPT)
+        gp = fit_gls(table, family, hp, basis=MeanBasis.INTERCEPT)
         curve = mi_diff_gp(gp, [60], 2300)
-        assert curve.sd[0] ** 2 == pytest.approx(hp.eta_sq / hp.theta_yr**2, rel=1e-10)
+        assert curve.sd[0] ** 2 == pytest.approx(factor * hp.eta_sq / hp.theta_yr**2, rel=1e-10)
 
     def test_far_field_mean_is_negated_trend_slope(self):
         gp, _ = linear_trend_gp(slope=-0.01417, sigma_sq=1e-4, basis=MeanBasis.QUADRATIC_AGE)
         curve = mi_diff_gp(gp, [60], 2500)
         assert curve.mean[0] == pytest.approx(-gp.beta[2], rel=1e-9)
         assert curve.mean[0] == pytest.approx(0.01417, rel=1e-3)
-
-    def test_matern_rejected(self):
-        table = table_from_surface(range(55, 60), range(2000, 2005), lambda a, y: -4.0)
-        hp = KernelHyperparams(theta_ag=5.0, theta_yr=5.0, eta_sq=0.3, sigma_sq=1e-4)
-        gp = fit_gls(table, MATERN, hp)
-        with pytest.raises(NotImplementedError, match="matern52"):
-            mi_diff_gp(gp, [57], 2004)
 
     def test_band_ordering(self):
         gp, _ = linear_trend_gp(sigma_sq=2e-4)

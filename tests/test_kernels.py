@@ -46,7 +46,7 @@ def random_pair(rng):
 
 
 def closed_forms(family, hp, x, xs):
-    """All-pairs C(x_i, xs_j) from the formulas, with dC/dxs_yr and d2C/dx_yr dxs_yr for the squared-exponential."""
+    """All-pairs C(x_i, xs_j) from the formulas, with dC/dxs_yr and d2C/dx_yr dxs_yr."""
     d_ag = x[:, 0:1] - xs[None, :, 0]
     d_yr = x[:, 1:2] - xs[None, :, 1]
     if family is SQEXP:
@@ -56,7 +56,9 @@ def closed_forms(family, hp, x, xs):
     def m(r):
         return (1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0) * np.exp(-math.sqrt(5.0) * r)
 
-    return hp.eta_sq * m(np.abs(d_ag) / hp.theta_ag) * m(np.abs(d_yr) / hp.theta_yr), None, None
+    c_ag, r = hp.eta_sq * m(np.abs(d_ag) / hp.theta_ag), np.abs(d_yr) / hp.theta_yr
+    g = c_ag * 5.0 * np.exp(-math.sqrt(5.0) * r) / (3.0 * hp.theta_yr**2)
+    return c_ag * m(r), g * (1.0 + math.sqrt(5.0) * r) * d_yr, g * (1.0 + math.sqrt(5.0) * r - 5.0 * r * r)
 
 
 def integer_grid(ages, years):
@@ -201,11 +203,10 @@ class TestCovMatrix:
             k = cov_matrix(family, hp, x)
             np.testing.assert_allclose(k, closed_forms(family, hp, x, x)[0], rtol=1e-14, atol=0.0)
             np.testing.assert_array_equal(k, k.T)
-            if family is SQEXP:
-                np.testing.assert_allclose(dcross_cov_dyr(hp, x, xs), dc, rtol=1e-14, atol=0.0)
-                for i, j in [(0, 0), (0, xs.shape[0] - 1), (x.shape[0] - 1, 0)]:
-                    assert dcross_cov_dyr(hp, x[i], xs[j])[0, 0] == pytest.approx(dc[i, j], rel=1e-14, abs=0.0)
-                    assert d2cross_cov_dyr2(hp, x[i], xs[j])[0, 0] == pytest.approx(d2c[i, j], rel=1e-14, abs=0.0)
+            np.testing.assert_allclose(dcross_cov_dyr(hp, x, xs, family), dc, rtol=1e-14, atol=0.0)
+            for i, j in [(0, 0), (0, xs.shape[0] - 1), (x.shape[0] - 1, 0)]:
+                assert dcross_cov_dyr(hp, x[i], xs[j], family)[0, 0] == pytest.approx(dc[i, j], rel=1e-14, abs=0.0)
+                assert d2cross_cov_dyr2(hp, x[i], xs[j], family)[0, 0] == pytest.approx(d2c[i, j], rel=1e-14, abs=0.0)
 
     def test_cross_cov_consistent_with_scalar(self):
         rng = np.random.default_rng(13)
@@ -230,37 +231,36 @@ class TestLogLengthscaleDerivative:
 
 
 class TestYearDerivatives:
-    def test_zero_year_gap_kills_first_derivative(self):
-        assert dcross_cov_dyr(HP, (60.0, 2005.0), (75.0, 2005.0))[0, 0] == 0.0
+    @pytest.mark.parametrize("family", [SQEXP, MATERN])
+    def test_zero_year_gap_kills_first_derivative(self, family):
+        assert dcross_cov_dyr(HP, (60.0, 2005.0), (75.0, 2005.0), family)[0, 0] == 0.0
 
-    def test_second_derivative_at_origin(self):
-        assert d2cross_cov_dyr2(HP, (60.0, 2005.0), (60.0, 2005.0))[0, 0] == pytest.approx(HP.eta_sq / HP.theta_yr**2, rel=1e-14)
+    @pytest.mark.parametrize("family, factor", [(SQEXP, 1.0), (MATERN, 5.0 / 3.0)])
+    def test_second_derivative_at_origin(self, family, factor):
+        # the prior variance of the year-derivative process: eta^2 / theta^2, and 5 eta^2 / (3 theta^2) for Matern-5/2
+        assert d2cross_cov_dyr2(HP, (60.0, 2005.0), (60.0, 2005.0), family)[0, 0] == pytest.approx(factor * HP.eta_sq / HP.theta_yr**2, rel=1e-14)
 
-    def test_first_derivative_matches_finite_difference(self):
+    @pytest.mark.parametrize("family", [SQEXP, MATERN])
+    def test_first_derivative_matches_finite_difference(self, family):
         rng = np.random.default_rng(14)
         h = 1e-5
         for _ in range(1000):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            fd = (cross_cov(SQEXP, hp, x, xp + [0, h])[0, 0] - cross_cov(SQEXP, hp, x, xp - [0, h])[0, 0]) / (2 * h)
-            analytic = dcross_cov_dyr(hp, x, xp)[0, 0]
+            fd = (cross_cov(family, hp, x, xp + [0, h])[0, 0] - cross_cov(family, hp, x, xp - [0, h])[0, 0]) / (2 * h)
+            analytic = dcross_cov_dyr(hp, x, xp, family)[0, 0]
             assert abs(analytic - fd) / (abs(analytic) + 1e-12) < 1e-5
 
-    def test_second_derivative_matches_finite_difference_of_first(self):
+    @pytest.mark.parametrize("family", [SQEXP, MATERN])
+    def test_second_derivative_matches_finite_difference_of_first(self, family):
         rng = np.random.default_rng(15)
         h = 1e-5
         for _ in range(1000):
             hp = random_hp(rng)
             x, xp = random_pair(rng)
-            fd = (dcross_cov_dyr(hp, x + [0, h], xp)[0, 0] - dcross_cov_dyr(hp, x - [0, h], xp)[0, 0]) / (2 * h)
-            analytic = d2cross_cov_dyr2(hp, x, xp)[0, 0]
+            fd = (dcross_cov_dyr(hp, x + [0, h], xp, family)[0, 0] - dcross_cov_dyr(hp, x - [0, h], xp, family)[0, 0]) / (2 * h)
+            analytic = d2cross_cov_dyr2(hp, x, xp, family)[0, 0]
             assert abs(analytic - fd) / (abs(analytic) + 1e-12) < 1e-5
-
-    def test_matern_rejected(self):
-        with pytest.raises(NotImplementedError, match="matern52"):
-            dcross_cov_dyr(HP, (60, 2005), (61, 2006), family=MATERN)
-        with pytest.raises(NotImplementedError, match="matern52"):
-            d2cross_cov_dyr2(HP, (60, 2005), (61, 2006), family=MATERN)
 
 
 class TestNoiseModels:
