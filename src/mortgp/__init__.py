@@ -23,7 +23,7 @@ from .gp import (
     predict_year_derivative,
     sample_paths,
 )
-from .hyperfit import FitConfig, FitResult, fit_mle
+from .hyperfit import FitResult, fit_mle
 from .improvement import ImprovementCurve, mi_back_gp, mi_back_observed, mi_centered, mi_diff_gp
 from .kernels import (
     ConstantNoise,
@@ -57,7 +57,6 @@ __all__ = [
     "predict_observation",
     "predict_year_derivative",
     "sample_paths",
-    "FitConfig",
     "FitResult",
     "fit_mle",
     "ImprovementCurve",

@@ -23,7 +23,7 @@ from . import gp as gp_mod
 from . import improvement as imp_mod
 from . import updating as upd_mod
 from .data import SUBSET_PRESETS, TEST_PRESETS, MortalityTable, SubsetSpec, _write_csv, load_table, subset
-from .hyperfit import FitConfig, fit_mle
+from .hyperfit import fit_mle
 from .kernels import DeltaMethodNoise, KernelFamily
 from .means import MeanBasis
 from .serialize import load_model, save_model
@@ -48,17 +48,21 @@ def _parse_subset(text: str) -> SubsetSpec | None:
     return SubsetSpec.parse(text)
 
 
-def _noise_model(text: str):
-    """``fit_mle``'s noise argument for a ``--noise`` value.  The parser checks the value with it but keeps the
-    string, which manifest.json records."""
+def _noise_model(text: str) -> DeltaMethodNoise | None:
+    """``fit_mle``'s noise argument for a ``--noise`` value: None (a constant variance, estimated) for constant."""
     try:
         if text == "constant":
-            return text
+            return None
         if text.startswith("delta:"):
             return DeltaMethodNoise(float(text.split(":", 1)[1]))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected constant|delta:K with K > 0, got {text!r}")
+
+
+def _parse_noise(text: str) -> str:
+    _noise_model(text)  # raises on a bad value; the parser keeps the string, which manifest.json records
+    return text
 
 
 def _parse_level(text: str) -> float:
@@ -125,8 +129,8 @@ def _write_estimates(path: Path, rows) -> None:
 def cmd_fit(args, out: Path) -> None:
     table = _load_training_table(args)
     table._warn_zero_deaths()  # the GP leaves them out; glm fits them, so it does not warn
-    config = FitConfig(n_restarts=args.restarts, seed=args.seed)
-    result = fit_mle(table, family=KERNEL_NAMES[args.kernel], basis=MEAN_NAMES[args.mean], noise=_noise_model(args.noise), config=config)
+    noise = _noise_model(args.noise)
+    result = fit_mle(table, KERNEL_NAMES[args.kernel], MEAN_NAMES[args.mean], noise, n_restarts=args.restarts, seed=args.seed)
     model = result.model
     save_model(model, out / "model.json")
     rows = [
@@ -165,22 +169,34 @@ def _curve_block(curve: imp_mod.ImprovementCurve):
     return curve.ages.astype(int).tolist(), [int(curve.year)] * n, [curve.kind] * n, curve.mean.tolist(), sd, lo, hi
 
 
+# the options each improve --kind reads, besides --year and --ages, and their defaults (None: required)
+_MODEL_KIND = {"model": None, "level": 0.80}
+IMPROVE_OPTIONS = {"obs": {"data": None, "subset": "all"}, "back": _MODEL_KIND, "diff": _MODEL_KIND, "centered": {**_MODEL_KIND, "h": 1.0}}
+
+
+class _ImproveKind(argparse.Action):
+    """Stores ``--kind`` and defaults the options it reads; the others stay None, so ``cmd_improve`` sees any given."""
+
+    def __call__(self, parser, namespace, kind, option_string=None):
+        namespace.kind = kind
+        for name, default in IMPROVE_OPTIONS[kind].items():
+            if getattr(namespace, name) is None:
+                setattr(namespace, name, default)
+
+
 def cmd_improve(args, out: Path) -> None:
+    reads = IMPROVE_OPTIONS[args.kind]
+    for name in ("data", "subset", "model", "level", "h"):
+        if (name in reads) == (getattr(args, name) is None):  # an option it reads is missing, or one it does not is given
+            raise ValueError(f"--kind {args.kind} {'requires' if name in reads else 'does not read'} --{name}")
     if args.kind == "obs":
-        if args.data is None:
-            raise ValueError("--kind obs requires --data")
         table = _load_training_table(args)
         table._warn_zero_deaths()
         ages = np.arange(args.ages[0], args.ages[1] + 1) if args.ages else None
         curve = imp_mod.mi_back_observed(table, args.year, ages=ages)
     else:
-        if args.model is None:
-            raise ValueError(f"--kind {args.kind} requires --model")
         gp = load_model(args.model)
-        if args.ages:
-            ages = np.arange(args.ages[0], args.ages[1] + 1)
-        else:
-            ages = np.unique(gp.x[:, 0]).astype(int)
+        ages = np.arange(args.ages[0], args.ages[1] + 1) if args.ages else np.unique(gp.x[:, 0]).astype(int)
         if args.kind == "back":
             curve = imp_mod.mi_back_gp(gp, ages, args.year, level=args.level)
         elif args.kind == "diff":
@@ -246,8 +262,7 @@ def cmd_experiment(args, out: Path) -> None:
     for subset_name, mean_name in _experiment_protocols(args.protocol):
         spec = SUBSET_PRESETS.get(subset_name)
         train = subset(full, spec) if spec is not None else full
-        config = FitConfig(n_restarts=args.restarts, seed=args.seed)
-        result = fit_mle(train, basis=MEAN_NAMES[mean_name], config=config)
+        result = fit_mle(train, basis=MEAN_NAMES[mean_name], n_restarts=args.restarts, seed=args.seed)
         gp = result.model
 
         probe_year = args.probe_year
@@ -301,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "--data", "--subset", "--seed")
     p.add_argument("--mean", choices=sorted(MEAN_NAMES), default="intercept")
     p.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default="sqexp")
-    p.add_argument("--noise", type=lambda text: _noise_model(text) and text, default="constant", help="constant or delta:K (overdispersion factor K)")
+    p.add_argument("--noise", type=_parse_noise, default="constant", help="constant or delta:K (overdispersion factor K)")
     p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(func=cmd_fit)
 
@@ -320,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "--subset", "--level")
     p.add_argument("--data", help="mortality CSV (required for --kind obs)")
     p.add_argument("--model", help="fitted model JSON (required for back/diff/centered)")
-    p.add_argument("--kind", choices=["obs", "back", "diff", "centered"], required=True)
+    p.add_argument("--kind", choices=list(IMPROVE_OPTIONS), required=True, action=_ImproveKind)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--ages", type=_parse_range, default=None, metavar="A0-A1")
-    p.add_argument("--h", type=float, default=1.0, help="step for --kind centered")
+    p.add_argument("--h", type=float, help="step for --kind centered (default 1.0)")
     p.add_argument("--n-samples", type=int, default=10_000, help="no effect; kept so older scripts still parse")
-    p.set_defaults(func=cmd_improve, level=0.80)
+    p.set_defaults(func=cmd_improve, subset=None, level=None)  # --kind defaults the options it reads
 
     p = sub.add_parser("sample", help="joint posterior trajectories across ages")
     add_common(p, "--model", "--seed")

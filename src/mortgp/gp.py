@@ -481,10 +481,8 @@ def fit_gls(
     noise: Optional[NoiseModel] = None,
     basis: Optional[MeanBasis] = MeanBasis.INTERCEPT,
 ) -> FittedGP:
-    """Fit a universal-kriging model to a mortality table's trainable cells."""
-    if noise is None:
-        noise = ConstantNoise(hp.sigma_sq)
-    noise_diag = kernels.noise_diagonal(noise, table)
+    """Fit a universal-kriging model to a mortality table's trainable cells; no noise model means ``ConstantNoise(hp.sigma_sq)``."""
+    noise_diag = None if noise is None else kernels.noise_diagonal(noise, table)
     return fit_gls_xy(table.inputs(), table.responses(), family, hp, basis=basis, noise=noise, noise_diag=noise_diag)
 
 

@@ -16,7 +16,7 @@ gradient subtracts tr(V^T dA V) over the m missing cells), and the noise is
 constant and positive; the dense Cholesky otherwise, and when the grid
 factorization fails.  The reported log-likelihood comes from ``gp.fit_gls``
 at the best point.  Restarts run one after another; results are deterministic
-for a given config and seed.
+for a given number of restarts and seed.
 
 ``scipy.optimize`` loads on first use, not at import, so that commands which
 never fit (and ``import mortgp``) load no scipy: ``minimize`` is a plain
@@ -31,7 +31,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from . import gp as gp_mod
 from . import means
 from .data import MortalityTable
 from .gp import FittedGP
-from .kernels import ConstantNoise, DeltaMethodNoise, KernelFamily, KernelHyperparams, noise_diagonal
+from .kernels import KernelFamily, KernelHyperparams, NoiseModel, noise_diagonal
 from .means import MeanBasis
 
 # log-space proximity at which an estimate counts as pinned to its bound; L-BFGS-B
@@ -60,18 +60,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize
 
     return minimize(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """The number of restarts and the seed of their random starts; the box and stopping rule are module constants."""
-
-    n_restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be at least 1")
 
 
 @dataclass
@@ -140,11 +128,8 @@ class _ProfiledLikelihood:
 
 
 def _heuristic_start(x, y, h, estimate_sigma, log_bounds):
-    if h.shape[1]:
-        coef, *_ = np.linalg.lstsq(h, y, rcond=None)
-        detrended = y - h @ coef
-    else:
-        detrended = y
+    coef, *_ = np.linalg.lstsq(h, y, rcond=None)  # no coefficients when there is no basis
+    detrended = y - h @ coef
     eta0 = max(float(np.var(detrended)), 1e-8)
     start = [*np.log(0.5 * np.ptp(x, axis=0)), math.log(eta0)]
     if estimate_sigma:
@@ -156,41 +141,34 @@ def fit_mle(
     table: MortalityTable,
     family: KernelFamily = KernelFamily.SQUARED_EXPONENTIAL,
     basis: Optional[MeanBasis] = MeanBasis.INTERCEPT,
-    noise: Union[str, DeltaMethodNoise] = "constant",
-    config: FitConfig = FitConfig(),
+    noise: Optional[NoiseModel] = None,
+    n_restarts: int = 8,
+    seed: int = 0,
 ) -> FitResult:
     """Best-of-restarts maximizer of the profiled log marginal likelihood.
 
-    With ``noise="constant"`` the observation variance is estimated jointly;
-    with a :class:`DeltaMethodNoise` the noise diagonal is fixed by the cell
-    counts and only the three kernel parameters are optimized.
+    With ``noise=None`` a constant observation variance is estimated jointly.
+    A noise model fixes the noise diagonal (a :class:`DeltaMethodNoise` by the
+    cell counts): only the kernel parameters are optimized, and ``hp.sigma_sq``
+    is 0.  The first of ``n_restarts`` starts is heuristic, the rest uniform on the log box from ``seed``.
     """
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be at least 1")
     p = means.basis_dim(basis)
-    x = table.inputs()
-    y = table.responses()
+    x, y = table.inputs(), table.responses()
     if x.shape[0] < p + 2:
         raise ValueError(f"need at least {p + 2} trainable cells, got {x.shape[0]}")
     if np.unique(x[:, 0]).size < 2 or np.unique(x[:, 1]).size < 2:
         raise ValueError("fit_mle needs at least 2 distinct ages and 2 distinct years")
 
-    if isinstance(noise, str):
-        if noise != "constant":
-            raise ValueError(f"unknown noise mode {noise!r}; use 'constant' or a DeltaMethodNoise")
-        fixed_diag = None
-    elif isinstance(noise, DeltaMethodNoise):
-        fixed_diag = noise_diagonal(noise, table)
-    else:
-        raise TypeError(f"noise must be 'constant' or DeltaMethodNoise, got {type(noise).__name__}")
-
-    obj = _ProfiledLikelihood(family, x, y, basis, fixed_diag)
-    estimate_sigma = obj.estimate_sigma
-    names = ["theta_ag", "theta_yr", "eta_sq", "sigma_sq"][: 3 + estimate_sigma]
+    obj = _ProfiledLikelihood(family, x, y, basis, None if noise is None else noise_diagonal(noise, table))
+    names = ["theta_ag", "theta_yr", "eta_sq", "sigma_sq"][: 3 + obj.estimate_sigma]
     bounds = [THETA_BOUNDS, THETA_BOUNDS, ETA_SQ_BOUNDS, SIGMA_SQ_BOUNDS]
     log_bounds = np.log(np.array(bounds[: len(names)]))
 
-    rng = np.random.default_rng(config.seed)
-    starts = [_heuristic_start(x, y, obj.h, estimate_sigma, log_bounds)]
-    starts += [rng.uniform(log_bounds[:, 0], log_bounds[:, 1]) for _ in range(config.n_restarts - 1)]
+    rng = np.random.default_rng(seed)
+    starts = [_heuristic_start(x, y, obj.h, obj.estimate_sigma, log_bounds)]
+    starts += [rng.uniform(log_bounds[:, 0], log_bounds[:, 1]) for _ in range(n_restarts - 1)]
 
     def params(v: np.ndarray) -> dict:
         return {name: math.exp(value) for name, value in zip(names, v)}
@@ -218,6 +196,5 @@ def fit_mle(
         warnings.warn("optimizer stopped at a hyperparameter bound; estimates may be degenerate", stacklevel=2)
 
     hp = KernelHyperparams(**best.end)  # sigma_sq 0 when the noise is fixed
-    noise_model = ConstantNoise(hp.sigma_sq) if estimate_sigma else noise
-    model = gp_mod.fit_gls(table, family, hp, noise=noise_model, basis=basis)
+    model = gp_mod.fit_gls(table, family, hp, noise=noise, basis=basis)
     return FitResult(model, trace, converged=best.success, bound_hit=best.bound_hit)

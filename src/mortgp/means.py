@@ -1,10 +1,9 @@
-"""Parametric prior-mean families for universal kriging.
-
-Three variants: intercept-only, linear in age and year, and linear plus a
-quadratic age term.  Coefficients are reported on the raw (age, year) scale;
-``basis_change_matrix`` provides the exact map between coefficients fitted on
-affinely rescaled inputs and raw-scale coefficients, which the solvers use to
-keep the normal equations well conditioned.
+"""Parametric prior-mean families for universal kriging: the first p of the
+columns [1, age, year, age^2], intercept-only (p = 1), linear in age and year
+(p = 3), and linear plus a quadratic age term (p = 4).  Coefficients are
+reported on the raw (age, year) scale; ``basis_change_matrix`` gives the exact
+map to them from coefficients fitted on affinely rescaled inputs, which the
+solvers use to keep the normal equations well conditioned.
 """
 
 from __future__ import annotations
@@ -20,25 +19,19 @@ class MeanBasis(enum.Enum):
     QUADRATIC_AGE = "quadratic"
 
 
+# the number of leading columns of [1, age, year, age^2] each basis keeps; no basis is a zero prior mean
+_DIMS = {None: 0, MeanBasis.INTERCEPT: 1, MeanBasis.LINEAR: 3, MeanBasis.QUADRATIC_AGE: 4}
+
+
 def basis_dim(basis: MeanBasis | None) -> int:
-    return basis_matrix(basis, [[0.0, 0.0]]).shape[1]
+    return _DIMS[basis]
 
 
 def basis_matrix(basis: MeanBasis | None, X) -> np.ndarray:
-    """(N, p) design matrix; p = 0 when no basis is given (zero prior mean)."""
+    """(N, p) design matrix: the first p of the columns [1, age, year, age^2]."""
     X = np.asarray(X, dtype=float).reshape(-1, 2)
-    n = X.shape[0]
-    if basis is None:
-        return np.empty((n, 0))
-    ag, yr = X[:, 0], X[:, 1]
-    ones = np.ones(n)
-    if basis is MeanBasis.INTERCEPT:
-        return ones[:, None]
-    if basis is MeanBasis.LINEAR:
-        return np.column_stack([ones, ag, yr])
-    if basis is MeanBasis.QUADRATIC_AGE:
-        return np.column_stack([ones, ag, yr, ag * ag])
-    raise ValueError(f"unknown mean basis {basis!r}")
+    h = np.column_stack([np.ones(X.shape[0]), X, X[:, 0] * X[:, 0]])
+    return np.ascontiguousarray(h[:, : _DIMS[basis]])  # C order for every p, as BLAS sees a full design
 
 
 def design(basis: MeanBasis | None, x: np.ndarray):
@@ -58,29 +51,18 @@ def basis_change_matrix(basis: MeanBasis | None, center, scale) -> np.ndarray:
     """Matrix M with h_scaled(x) = M h_raw(x), for inputs mapped by (x - center) / scale.
 
     If beta_s solves the fit in scaled coordinates, the raw-scale coefficients
-    are exactly ``M.T @ beta_s``.
+    are exactly ``M.T @ beta_s``.  The map of all four columns is lower
+    triangular, so its leading p x p block maps the first p of them.
     """
-    if basis is None:
-        return np.empty((0, 0))
     ca, cy = (float(v) for v in np.asarray(center, dtype=float).reshape(2))
     sa, sy = (float(v) for v in np.asarray(scale, dtype=float).reshape(2))
-    if basis is MeanBasis.INTERCEPT:
-        return np.array([[1.0]])
-    if basis is MeanBasis.LINEAR:
-        return np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [-ca / sa, 1.0 / sa, 0.0],
-                [-cy / sy, 0.0, 1.0 / sy],
-            ]
-        )
-    if basis is MeanBasis.QUADRATIC_AGE:
-        return np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [-ca / sa, 1.0 / sa, 0.0, 0.0],
-                [-cy / sy, 0.0, 1.0 / sy, 0.0],
-                [ca * ca / sa**2, -2.0 * ca / sa**2, 0.0, 1.0 / sa**2],
-            ]
-        )
-    raise ValueError(f"unknown mean basis {basis!r}")
+    m = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [-ca / sa, 1.0 / sa, 0.0, 0.0],
+            [-cy / sy, 0.0, 1.0 / sy, 0.0],
+            [ca * ca / sa**2, -2.0 * ca / sa**2, 0.0, 1.0 / sa**2],
+        ]
+    )
+    p = _DIMS[basis]
+    return np.ascontiguousarray(m[:p, :p])

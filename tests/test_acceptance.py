@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mortgp import (
-    FitConfig,
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
@@ -149,7 +148,7 @@ def test_criterion_06_hyperparameter_recovery():
         table, _, _ = simulate_gp_table(range(50, 85), range(1999, 2015), true, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_mle(table, config=FitConfig(n_restarts=1, seed=seed))
+            result = fit_mle(table, n_restarts=1, seed=seed)
         ratios["theta_ag"].append(result.model.hp.theta_ag / true.theta_ag)
         ratios["theta_yr"].append(result.model.hp.theta_yr / true.theta_yr)
         ratios["sigma_sq"].append(result.model.hp.sigma_sq / true.sigma_sq)
@@ -236,7 +235,7 @@ def cdc_table():
 def test_criterion_10a_full_data_mle(cdc_table):
     """All-data intercept MLEs within 10% of the published estimates."""
     published = {"theta_ag": 15.8384, "theta_yr": 15.5308, "eta_sq": 1.8468, "sigma_sq": 2.808e-4}
-    result = fit_mle(cdc_table, basis=MeanBasis.INTERCEPT, config=FitConfig(n_restarts=8, seed=0))
+    result = fit_mle(cdc_table, basis=MeanBasis.INTERCEPT, n_restarts=8, seed=0)
     for name, target in published.items():
         assert abs(getattr(result.model.hp, name) - target) / abs(target) < 0.10
     assert abs(result.model.beta[0] - (-3.8710)) / 3.8710 < 0.10
@@ -247,7 +246,7 @@ def test_criterion_10b_trend_coefficients(cdc_table):
     """Year-trend coefficient sign and magnitude on the 1999-2010/50-70 subset."""
     train = subset(cdc_table, SUBSET_PRESETS["subset3"])
     for basis, published_yr in ((MeanBasis.LINEAR, -1.397e-2), (MeanBasis.QUADRATIC_AGE, -1.417e-2)):
-        result = fit_mle(train, basis=basis, config=FitConfig(n_restarts=8, seed=0))
+        result = fit_mle(train, basis=basis, n_restarts=8, seed=0)
         beta_yr = result.model.beta[2]
         assert beta_yr < 0
         assert abs(beta_yr - published_yr) / abs(published_yr) < 0.25
@@ -270,7 +269,7 @@ def test_criterion_10c_subset_predictions(cdc_table):
     for (subset_name, mean_name), targets in published.items():
         spec = SUBSET_PRESETS.get(subset_name)
         train = subset(cdc_table, spec) if spec is not None else cdc_table
-        result = fit_mle(train, basis=bases[mean_name], config=FitConfig(n_restarts=8, seed=0))
+        result = fit_mle(train, basis=bases[mean_name], n_restarts=8, seed=0)
         post = predict(result.model, [[70.0, 2014.0], [80.0, 2014.0]])
         for mean_value, age in zip(post.mean, (70, 80)):
             assert abs(mean_value - targets[age]) < 0.02, (subset_name, mean_name, age)
@@ -281,7 +280,7 @@ def test_criterion_10d_updating_sd_drop(cdc_table):
     """Adding 2014 shrinks the (65, 2016) posterior sd from ~0.027 to ~0.021."""
     before_table = subset(cdc_table, SubsetSpec.rectangle((1999, 2013), (50, 84)))
     year_2014 = subset(cdc_table, SubsetSpec.rectangle((2014, 2014), (50, 84)))
-    result = fit_mle(before_table, basis=MeanBasis.INTERCEPT, config=FitConfig(n_restarts=8, seed=0))
+    result = fit_mle(before_table, basis=MeanBasis.INTERCEPT, n_restarts=8, seed=0)
     updated = update(result.model, year_2014)
     report = update_report(result.model, updated, [[65.0, 2016.0]])
     assert abs(report.before.sd[0] - 0.0266) / 0.0266 < 0.10

@@ -337,6 +337,22 @@ class TestManifest:
     def test_every_subcommand_is_covered(self):
         assert set(build_parser()._subparsers._group_actions[0].choices) == set(MANIFEST_COMMANDS)
 
+    @pytest.mark.parametrize(
+        "kind, resolved",
+        [
+            ("obs", dict(data="d.csv", subset="all", model=None, level=None, h=None)),
+            ("back", dict(data=None, subset=None, model="m.json", level=0.80, h=None)),
+            ("diff", dict(data=None, subset=None, model="m.json", level=0.80, h=None)),
+            ("centered", dict(data=None, subset=None, model="m.json", level=0.80, h=1.0)),
+        ],
+    )
+    def test_improve_defaults_only_the_options_its_kind_reads(self, kind, resolved):
+        source = ["--data", "d.csv"] if kind == "obs" else ["--model", "m.json"]
+        args = vars(build_parser().parse_args(["improve", *source, "--kind", kind, "--year", "2014"]))
+        assert {name: args[name] for name in resolved} == resolved
+        if kind != "obs":  # a value given before --kind is kept
+            assert build_parser().parse_args(["improve", "--level", "0.5", *source, "--kind", kind, "--year", "2014"]).level == 0.5
+
 
 class TestGridModelMemory:
     """A constant-noise model on a grid, full or with holes, goes through every command without an n x n array."""
@@ -431,6 +447,24 @@ class TestErrors:
         assert rc == 1
         assert "requires --data" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, option",
+        [
+            *((kind, option) for kind in ("back", "diff", "centered") for option in ("--data", "--subset")),
+            *(("obs", option) for option in ("--model", "--level", "--h")),
+            ("back", "--h"),
+            ("diff", "--h"),
+        ],
+    )
+    def test_improve_option_its_kind_does_not_read(self, model_dir, data_csv, tmp_path, capsys, kind, option):
+        source = ["--data", str(data_csv)] if kind == "obs" else ["--model", str(model_dir / "model.json")]
+        value = {"--data": str(data_csv), "--subset": "all", "--model": str(model_dir / "model.json"), "--level": "0.8", "--h": "1.0"}
+        out = tmp_path / "x"
+        rc = main(["improve", "--kind", kind, "--year", "2014", *source, option, value[option], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --kind {kind} does not read {option}\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("rows", [[], ["60,2015,0,100000", "61,2015,0,100000"]], ids=["header_only", "zero_deaths"])
     def test_update_without_trainable_cells_names_new_data(self, model_dir, tmp_path, capsys, rows):

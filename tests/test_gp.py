@@ -18,11 +18,11 @@ import mortgp.kernels as kernels_mod
 from mortgp import (
     ConstantNoise,
     DeltaMethodNoise,
-    FitConfig,
     FactorizationError,
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
+    MortalityTable,
     cov_matrix,
     cross_cov,
     fit_gls,
@@ -30,6 +30,7 @@ from mortgp import (
     fit_mle,
     load_model,
     log_marginal_likelihood,
+    noise_diagonal,
     predict,
     predict_observation,
     predict_year_derivative,
@@ -871,6 +872,74 @@ class TestBackwardError:
             assert backward_error(a, z, b) <= 16 * np.finfo(float).eps
 
 
+class TestLikelihoodBackwardError:
+    """Each route's log-likelihood is within kappa_2 eta (n + r^T A^-1 r) of the dense route's on the same data.
+
+    To first order a backward error eta in A moves log|A| by at most n kappa_2 eta and r^T A^-1 r by at most
+    kappa_2 eta r^T A^-1 r, for r the GLS residual (the trend's own change drops out at its optimum).  Each
+    route's solve holds eta <= 16 eps (``TestBackwardError``), so two routes' log-likelihoods, each half of
+    those two terms, are at most kappa_2 eta (n + r^T A^-1 r) apart.  On the grid routes kappa_2 is
+    max D / min D of the full grid's A_f, exact on a full grid and an upper bound with holes (interlacing).
+    The dense route's own case is delta-method noise, which the grid rule refuses: the same rows in table order
+    and in another order (D11), with kappa_2 = cond(A).
+    """
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ages=st.lists(st.integers(0, 100), min_size=3, max_size=11, unique=True),
+        years=st.lists(st.integers(1950, 2020), min_size=2, max_size=11, unique=True),
+        family=st.sampled_from(list(KernelFamily)),
+        basis=st.sampled_from([None, *MeanBasis]),
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        holes=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=24),
+        permuted=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_log_likelihood_within_conditioning_of_dense_route(self, route, ages, years, family, basis, fractions, holes, permuted, seed):
+        bounds = np.log([BOX.theta_bounds, BOX.theta_bounds, BOX.eta_sq_bounds, BOX.sigma_sq_bounds])
+        hp = KernelHyperparams(*np.exp(bounds[:, 0] + np.array(fractions) * (bounds[:, 1] - bounds[:, 0])))
+        rng = np.random.default_rng(seed)
+        x = np.array([[a, y] for y in sorted(years) for a in sorted(ages)], dtype=float)
+        if route == "holes":  # m <= N / 5 cells missing, so m <= n / 4
+            keep = np.ones(x.shape[0], dtype=bool)
+            keep[[int(h * x.shape[0]) for h in holes[: x.shape[0] // 5]]] = False
+            x = x[keep]
+        n = x.shape[0]
+        y = -4.0 + 0.04 * (x[:, 0] - 60) - 0.01 * (x[:, 1] - 2000) + 0.05 * rng.standard_normal(n)
+        order = rng.permutation(n) if permuted else np.arange(n)
+        if route == "dense":
+            # exposures that put the delta-method variance (1 - p) / (p E) near sigma^2, varying by up to 2x
+            rate = np.exp(y)
+            exposure = (1.0 - rate) / (rate * hp.sigma_sq) * rng.uniform(1.0, 2.0, n)
+            table = MortalityTable(x[:, 0], x[:, 1], rate * exposure, exposure)
+            x, y, noise = table.inputs(), table.responses(), noise_diagonal(DeltaMethodNoise(1.0), table)
+            reference = fit_gls_xy(x, y, family, hp, basis=basis, noise=DeltaMethodNoise(1.0), noise_diag=noise)
+            order = order if permuted else order[::-1]
+            fit = fit_gls_xy(x[order], y[order], family, hp, basis=basis, noise=DeltaMethodNoise(1.0), noise_diag=noise[order])
+            a = cov_matrix(family, hp, x) + np.diag(noise)
+        else:
+            x, y = x[order], y[order]
+            fit = fit_gls_xy(x, y, family, hp, basis=basis)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gp_mod, "_grid_cells", lambda axes: None)
+                reference = fit_gls_xy(x, y, family, hp, basis=basis)
+            assert not is_grid(reference)
+            full = np.array([[age, year] for year in np.unique(x[:, 1]) for age in np.unique(x[:, 0])])
+            a = cov_matrix(family, hp, full) + hp.sigma_sq * np.eye(full.shape[0])
+        eigenvalues = np.linalg.eigvalsh(a)
+        kappa = eigenvalues[-1] / eigenvalues[0]
+        r = reference.y - reference.scaled_basis_matrix(reference.x) @ reference.beta_scaled
+        q = r @ reference.alpha  # r^T A^-1 r = |W r|^2
+        bound = kappa * 16 * np.finfo(float).eps * (n + q)
+        # the bound covers A's backward error, not the rounding of the GLS residual W y - W H beta itself, about
+        # 2 eps |W y| |W r| in each route's log-likelihood; left out: draws where that term alone exceeds the bound,
+        # a trend that carries nearly all of W y on a well-conditioned A
+        white_y = reference.whitener.whiten(reference.y)
+        assume(4 * np.finfo(float).eps * math.sqrt(q * (white_y @ white_y)) <= bound)
+        assert abs(fit.log_likelihood - reference.log_likelihood) <= bound
+
+
 class TestWhitenerRoute:
     """Which whitener a fit takes; outputs must not depend on it beyond the tolerances above."""
 
@@ -884,7 +953,7 @@ class TestWhitenerRoute:
         gp = fit_gls(table, SQEXP, self.HP, basis=MeanBasis.QUADRATIC_AGE)
         assert is_grid(gp) and gp.jitter == 0.0
         noisy, _, _ = simulate_gp_table(range(50, 62), range(2000, 2008), self.HP, seed=3)
-        result = fit_mle(noisy, basis=MeanBasis.QUADRATIC_AGE, config=FitConfig(n_restarts=1))
+        result = fit_mle(noisy, basis=MeanBasis.QUADRATIC_AGE, n_restarts=1)
         assert is_grid(result.model)  # fit_mle's final refit
 
     def test_update_with_a_full_calendar_year_takes_grid_route(self, table):

@@ -15,7 +15,6 @@ import mortgp.hyperfit as hyperfit
 from mortgp import (
     ConstantNoise,
     DeltaMethodNoise,
-    FitConfig,
     KernelFamily,
     KernelHyperparams,
     MeanBasis,
@@ -51,40 +50,38 @@ def white_noise_table():
 
 
 def quick_config(**kw):
-    defaults = dict(n_restarts=2, seed=0)
-    defaults.update(kw)
-    return FitConfig(**defaults)
+    return dict(n_restarts=2, seed=0) | kw
 
 
 class TestFitMle:
     def test_reproducible_given_seed(self, sim_table):
-        r1 = fit_mle(sim_table, config=quick_config())
-        r2 = fit_mle(sim_table, config=quick_config())
+        r1 = fit_mle(sim_table, **quick_config())
+        r2 = fit_mle(sim_table, **quick_config())
         assert r1.model.hp == r2.model.hp
         assert r1.model.log_likelihood == r2.model.log_likelihood
         np.testing.assert_array_equal(r1.model.beta, r2.model.beta)
         assert [t.log_likelihood for t in r1.restart_trace] == [t.log_likelihood for t in r2.restart_trace]
 
     def test_reported_value_is_best_restart(self, sim_table):
-        result = fit_mle(sim_table, config=quick_config(n_restarts=3))
+        result = fit_mle(sim_table, **quick_config(n_restarts=3))
         values = [t.log_likelihood for t in result.restart_trace]
         assert max(values) == pytest.approx(result.model.log_likelihood, abs=1e-6)
 
     def test_reevaluation_reproduces_log_likelihood(self, sim_table):
-        result = fit_mle(sim_table, basis=MeanBasis.INTERCEPT, config=quick_config())
+        result = fit_mle(sim_table, basis=MeanBasis.INTERCEPT, **quick_config())
         again = log_marginal_likelihood(sim_table, result.model.family, result.model.hp, noise=result.model.noise, basis=result.model.basis)
         assert again == pytest.approx(result.model.log_likelihood, abs=1e-9)
 
     def test_lengthscale_recovery_on_simulated_data(self):
         table, _, _ = simulate_gp_table(range(50, 75), range(1999, 2012), TRUE_HP, seed=7)
-        result = fit_mle(table, config=quick_config())
+        result = fit_mle(table, **quick_config())
         assert result.model.hp.theta_ag == pytest.approx(TRUE_HP.theta_ag, rel=0.5)
         assert result.model.hp.theta_yr == pytest.approx(TRUE_HP.theta_yr, rel=0.5)
         assert result.model.hp.sigma_sq == pytest.approx(TRUE_HP.sigma_sq, rel=0.5)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_profiling_consistency_at_optimum(self, sim_table, family):
-        result = fit_mle(sim_table, family=family, config=quick_config())
+        result = fit_mle(sim_table, family=family, **quick_config())
         base = result.model.log_likelihood
         fields = ("theta_ag", "theta_yr", "eta_sq", "sigma_sq")
         for name in fields:
@@ -95,9 +92,9 @@ class TestFitMle:
                 assert perturbed <= base + 1e-9
 
     def test_response_shift_moves_only_intercept(self, sim_table):
-        r1 = fit_mle(sim_table, config=quick_config())
+        r1 = fit_mle(sim_table, **quick_config())
         shifted = rows_of(sim_table, deaths=sim_table.deaths * math.e)
-        r2 = fit_mle(shifted, config=quick_config())
+        r2 = fit_mle(shifted, **quick_config())
         assert r2.model.hp.theta_ag == pytest.approx(r1.model.hp.theta_ag, rel=1e-3)
         assert r2.model.hp.theta_yr == pytest.approx(r1.model.hp.theta_yr, rel=1e-3)
         assert r2.model.hp.eta_sq == pytest.approx(r1.model.hp.eta_sq, rel=1e-3)
@@ -107,7 +104,7 @@ class TestFitMle:
         table = white_noise_table()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_mle(table, config=quick_config())
+            result = fit_mle(table, **quick_config())
         assert result.bound_hit
         assert result.converged
 
@@ -119,7 +116,7 @@ class TestFitMle:
         monkeypatch.setattr(hyperfit, "minimize", lambda *args, options, **kw: real(*args, options={**options, "maxiter": 20}, **kw))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_mle(table, config=quick_config())
+            result = fit_mle(table, **quick_config())
         best = max(result.restart_trace, key=lambda rec: rec.log_likelihood)
         assert best.iterations == 20
         assert result.bound_hit and best.bound_hit
@@ -133,7 +130,7 @@ class TestFitMle:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_mle(table, config=config)
+            result = fit_mle(table, **config)
         elapsed = time.perf_counter() - start
         raw_bounds = {"theta_ag": hyperfit.THETA_BOUNDS, "theta_yr": hyperfit.THETA_BOUNDS}
         raw_bounds.update(eta_sq=hyperfit.ETA_SQ_BOUNDS, sigma_sq=hyperfit.SIGMA_SQ_BOUNDS)
@@ -159,7 +156,7 @@ class TestFitMle:
             return real(cov, hp, noise_diag)
 
         monkeypatch.setattr(gp_mod._Covariance, "__call__", fail_at_first_point)
-        result = fit_mle(sim_table, config=quick_config())
+        result = fit_mle(sim_table, **quick_config())
         failed, other = result.restart_trace
         assert failed.log_likelihood == -math.inf
         assert not failed.success
@@ -182,7 +179,7 @@ class TestFitMle:
             return real(cov, hp, noise_diag)
 
         monkeypatch.setattr(gp_mod._Covariance, "__call__", factorize_only_the_first_point)
-        result = fit_mle(sim_table, config=quick_config(n_restarts=1))
+        result = fit_mle(sim_table, **quick_config(n_restarts=1))
         (rec,) = result.restart_trace
         assert not result.converged and not rec.success
         assert 0 < rec.failed_evaluations < rec.evaluations
@@ -193,7 +190,7 @@ class TestFitMle:
         # the kernel sees only separations and the trend basis is rescaled, so no input
         # standardization is needed: moved inputs give the same fit, bit for bit
         moved = rows_of(sim_table, age=sim_table.age + 20, year=sim_table.year + 500)
-        here, there = (fit_mle(t, family=family, basis=MeanBasis.QUADRATIC_AGE, config=quick_config()) for t in (sim_table, moved))
+        here, there = (fit_mle(t, family=family, basis=MeanBasis.QUADRATIC_AGE, **quick_config()) for t in (sim_table, moved))
         assert there.model.hp == here.model.hp
         assert there.model.log_likelihood == here.model.log_likelihood
         assert [rec.evaluations for rec in there.restart_trace] == [rec.evaluations for rec in here.restart_trace]
@@ -204,31 +201,43 @@ class TestFitMle:
 
         monkeypatch.setattr(gp_mod._Covariance, "__call__", fail)
         with pytest.raises(gp_mod.FactorizationError, match="every restart"):
-            fit_mle(sim_table, config=quick_config())
+            fit_mle(sim_table, **quick_config())
 
     def test_delta_noise_mode_fixes_sigma(self, sim_table):
-        result = fit_mle(sim_table, noise=DeltaMethodNoise(2.0), config=quick_config())
+        result = fit_mle(sim_table, noise=DeltaMethodNoise(2.0), **quick_config())
         assert isinstance(result.model.noise, DeltaMethodNoise)
         assert result.model.hp.sigma_sq == 0.0
         assert math.isfinite(result.model.log_likelihood)
 
+    def test_constant_noise_model_fixes_sigma(self, sim_table):
+        result = fit_mle(sim_table, noise=ConstantNoise(1e-3), **quick_config())
+        assert result.model.noise == ConstantNoise(1e-3) and result.model.hp.sigma_sq == 0.0
+        assert all("sigma_sq" not in rec.end for rec in result.restart_trace)
+        refit = log_marginal_likelihood(sim_table, SQEXP, result.model.hp, noise=ConstantNoise(1e-3), basis=MeanBasis.INTERCEPT)
+        assert result.model.log_likelihood == refit
+
     def test_degenerate_table_rejected(self):
         table = table_from_surface(range(60, 62), [2000, 2001], lambda a, y: -4.0)
         with pytest.raises(ValueError, match="at least"):
-            fit_mle(table, basis=MeanBasis.QUADRATIC_AGE, config=quick_config())
+            fit_mle(table, basis=MeanBasis.QUADRATIC_AGE, **quick_config())
 
     @pytest.mark.parametrize("ages, years", [(range(50, 85), [2000]), ([60], range(2000, 2016))], ids=["one_year", "one_age"])
     def test_single_age_or_year_rejected(self, ages, years):
         table = table_from_surface(ages, years, lambda a, y: -4.0 + 0.01 * a - 0.02 * (y - 2000))
         with pytest.raises(ValueError, match="at least 2 distinct ages and 2 distinct years"):
-            fit_mle(table, basis=None, config=quick_config())
+            fit_mle(table, basis=None, **quick_config())
 
-    def test_unknown_noise_mode_rejected(self, sim_table):
-        with pytest.raises(ValueError, match="noise mode"):
-            fit_mle(sim_table, noise="heteroskedastic", config=quick_config())
+    @pytest.mark.parametrize("noise", ["heteroskedastic", "constant"])
+    def test_unknown_noise_mode_rejected(self, sim_table, noise):
+        with pytest.raises(TypeError, match="unknown noise model"):
+            fit_mle(sim_table, noise=noise, **quick_config())
+
+    def test_no_restarts_rejected(self, sim_table):
+        with pytest.raises(ValueError, match="n_restarts must be at least 1"):
+            fit_mle(sim_table, **quick_config(n_restarts=0))
 
     def test_restart_records_count_evaluations_and_iterations(self, sim_table):
-        first, second = (fit_mle(sim_table, config=quick_config(n_restarts=3)) for _ in range(2))
+        first, second = (fit_mle(sim_table, **quick_config(n_restarts=3)) for _ in range(2))
         for rec in first.restart_trace:
             assert type(rec.evaluations) is int and type(rec.iterations) is int
             assert 0 < rec.iterations <= rec.evaluations
@@ -237,7 +246,7 @@ class TestFitMle:
         assert counts[0] == counts[1]
 
     def test_restart_log_likelihoods_are_plain_floats(self, sim_table):
-        result = fit_mle(sim_table, config=quick_config(n_restarts=3))
+        result = fit_mle(sim_table, **quick_config(n_restarts=3))
         assert all(type(rec.log_likelihood) is float for rec in result.restart_trace)
 
 
@@ -256,8 +265,8 @@ class TestNelderMeadOptima:
         spec = NELDER_MEAD_OPTIMA["tables"][case["table"]]
         (a0, a1), (y0, y1) = spec["ages"], spec["years"]
         table = simulate_grid_table(range(a0, a1 + 1), range(y0, y1 + 1), KernelHyperparams(*spec["hp"]), case["seed"])
-        config = FitConfig(n_restarts=case["n_restarts"], seed=case["config_seed"])
-        result = fit_mle(table, family=KernelFamily(case["family"]), basis=MeanBasis(case["basis"]), config=config)
+        family, basis = KernelFamily(case["family"]), MeanBasis(case["basis"])
+        result = fit_mle(table, family=family, basis=basis, n_restarts=case["n_restarts"], seed=case["config_seed"])
         assert result.model.log_likelihood >= case["log_likelihood"] - 1e-6
         assert len(result.restart_trace) == case["n_restarts"]
         assert all(rec.success for rec in result.restart_trace)
@@ -265,7 +274,7 @@ class TestNelderMeadOptima:
 
 class TestLikelihoodSurface:
     def test_grid_containing_mle_is_maximized_there(self, sim_table):
-        result = fit_mle(sim_table, config=quick_config())
+        result = fit_mle(sim_table, **quick_config())
         others = [
             KernelHyperparams(result.model.hp.theta_ag * f, result.model.hp.theta_yr * f, result.model.hp.eta_sq, result.model.hp.sigma_sq)
             for f in (0.2, 0.5, 2.0, 5.0)
@@ -274,7 +283,7 @@ class TestLikelihoodSurface:
         assert values[0] == max(values)
 
     def test_ridge_rises_then_falls_across_theta(self, sim_table):
-        result = fit_mle(sim_table, config=quick_config())
+        result = fit_mle(sim_table, **quick_config())
         factors = np.array([0.1, 0.4, 1.0, 2.5, 10.0])
         values = np.array(
             [
@@ -324,7 +333,7 @@ class TestLazyMinimize:
 
         monkeypatch.delitem(vars(hyperfit), "minimize", raising=False)
         monkeypatch.setattr(hyperfit, "minimize", recording_minimize, raising=False)
-        result = fit_mle(sim_table, config=quick_config(n_restarts=2))
+        result = fit_mle(sim_table, **quick_config(n_restarts=2))
         assert len(starts) == len(result.restart_trace) == 2
         for x0, rec in zip(starts, result.restart_trace):
             np.testing.assert_allclose(np.exp(x0), list(rec.start.values()), rtol=1e-12)
@@ -344,7 +353,7 @@ def capture_objective(monkeypatch, table, family, basis, noise):
 
     monkeypatch.setattr(hyperfit, "minimize", fake_minimize)
     with pytest.raises(_Captured):
-        fit_mle(table, family=family, basis=basis, noise=noise, config=quick_config(n_restarts=1))
+        fit_mle(table, family=family, basis=basis, noise=None if noise == "constant" else noise, **quick_config(n_restarts=1))
     return seen["fun"], seen["x0"], seen["bounds"]
 
 

@@ -90,6 +90,18 @@ class TestBasisChange:
         beta_scaled = rng.standard_normal(basis_dim(basis))
         np.testing.assert_allclose(h_scaled @ beta_scaled, h_raw @ (m.T @ beta_scaled), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("basis", [None, *MeanBasis])
+    def test_each_basis_is_the_quadratic_truncated(self, basis):
+        # the bases are nested: each is the first p columns of [1, age, year, age^2], and its map the leading p x p block
+        rng = np.random.default_rng(19)
+        center, scale = np.array([67.0, 2006.5]), np.array([10.1, 4.6])
+        x = np.column_stack([rng.uniform(50, 85, 30), rng.uniform(1999, 2015, 30)])
+        p = basis_dim(basis)
+        np.testing.assert_array_equal(basis_matrix(basis, x), basis_matrix(MeanBasis.QUADRATIC_AGE, x)[:, :p])
+        full = basis_change_matrix(MeanBasis.QUADRATIC_AGE, center, scale)
+        np.testing.assert_array_equal(basis_change_matrix(basis, center, scale), full[:p, :p])
+        np.testing.assert_array_equal(np.triu(full, 1), 0.0)
+
     @pytest.mark.parametrize(
         "basis, dh", [(MeanBasis.INTERCEPT, [0.0]), (MeanBasis.LINEAR, [0.0, 0.0, 1.0]), (MeanBasis.QUADRATIC_AGE, [0.0, 0.0, 1.0, 0.0])]
     )
